@@ -16,10 +16,12 @@ namespace fifl::net {
 
 namespace {
 
-double elapsed_ms(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - since)
-      .count();
+using Clock = std::chrono::steady_clock;
+
+double elapsed_ms(Clock::time_point since) {
+  // fifl-lint: allow(nondet-source) -- latency histograms and trace spans only, never engine or ledger state
+  const auto now = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::milli>(now - since).count();
 }
 
 /// Snapshot of the global net counters, for per-round deltas.
@@ -140,6 +142,35 @@ void note_phase(const NodeTracer& tracer, obs::Histogram* hist,
   tracer.note(obs::FlightEventKind::kPhase, obs::kNoFlightPeer, 0, round);
 }
 
+/// Join handshake, shared by workers and follower servers: sends `join`
+/// to the lead and returns the trace-clock send stamp (0 when tracing is
+/// off). With tracing on, the Join advertises the trace feature and
+/// starts the clock sync: the JoinAck answers with the lead's clock, and
+/// half the measured round trip estimates the one-way delay.
+std::uint64_t send_join(Endpoint& endpoint, const NodeTracer& tracer,
+                        NodeKey lead, JoinMsg join) {
+  std::uint64_t sent_us = 0;
+  if (tracer.tracing()) {
+    join.features = kFeatureTrace;
+    sent_us = trace_now_us();
+    join.clock_us = sent_us;
+  }
+  traced_send(endpoint, tracer, lead, MessageType::kJoin, join, 0);
+  return sent_us;
+}
+
+/// The handshake's other half: records this node's clock skew against
+/// the lead's when both sides advertised tracing.
+void adopt_join_clock(const NodeTracer& tracer, const JoinAckMsg& ack,
+                      std::uint64_t sent_us) {
+  if (!tracer.tracing() || (ack.features & kFeatureTrace) == 0) return;
+  const std::uint64_t t1 = trace_now_us();
+  const std::int64_t rtt = static_cast<std::int64_t>(t1 - sent_us);
+  const std::int64_t skew = static_cast<std::int64_t>(ack.clock_us) +
+                            rtt / 2 - static_cast<std::int64_t>(t1);
+  tracer.clock(skew, rtt);
+}
+
 }  // namespace
 
 std::vector<NodeKey> Topology::server_keys() const {
@@ -241,7 +272,7 @@ void WorkerNode::send_audit_query(std::uint64_t round, std::uint32_t server,
   }
 }
 
-void WorkerNode::retry_audit() {
+void WorkerNode::retry_audit(std::chrono::steady_clock::time_point now) {
   if (!pending_audit_) return;
   if (pending_audit_->tried >= topology_.servers) {
     util::log_warn() << "net: worker " << endpoint_->address()
@@ -254,62 +285,30 @@ void WorkerNode::retry_audit() {
   // holds the committed prefix, so round-robin to the next one.
   pending_audit_->cursor = (pending_audit_->cursor + 1) % topology_.servers;
   ++pending_audit_->tried;
-  pending_audit_->deadline =
-      std::chrono::steady_clock::now() + timeouts_.liveness;
+  pending_audit_->deadline = now + timeouts_.liveness;
   send_audit_query(pending_audit_->round, pending_audit_->cursor, 0);
 }
 
 void WorkerNode::run() {
   current_lead_ = topology_.lead_key();
-  JoinMsg join{endpoint_->address(), NodeRole::kWorker, supported_codecs_};
-  std::uint64_t join_sent_us = 0;
-  if (tracer_.tracing()) {
-    // Advertise the trace feature and start the clock-sync handshake:
-    // the JoinAck answers with the lead's clock, and half the measured
-    // round trip estimates the one-way delay.
-    join.features = kFeatureTrace;
-    join_sent_us = trace_now_us();
-    join.clock_us = join_sent_us;
-  }
-  traced_send(*endpoint_, tracer_, current_lead_, MessageType::kJoin, join, 0);
+  const std::uint64_t join_sent_us =
+      send_join(*endpoint_, tracer_, current_lead_,
+                JoinMsg{endpoint_->address(), NodeRole::kWorker,
+                        supported_codecs_});
+  // fifl-lint: allow(nondet-source) -- join deadline: bounds the wait for the JoinAck
   const auto join_deadline = std::chrono::steady_clock::now() + timeouts_.join;
-  bool acked = false;
-  while (!acked && !stop_.load(std::memory_order_relaxed)) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        join_deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) {
-      throw std::runtime_error("WorkerNode " +
-                               std::to_string(endpoint_->address()) +
-                               ": join timed out");
-    }
-    auto env = endpoint_->recv(left);
-    if (!env) continue;
-    if (env->type == MessageType::kJoinAck) {
-      const auto handle_start = std::chrono::steady_clock::now();
-      const auto ack = decode_payload<JoinAckMsg>(env->payload);
-      upload_codec_ = static_cast<fl::Codec>(ack.upload_codec);
-      keep_fraction_ = ack.keep_fraction;
-      total_rounds_ = ack.rounds;
-      if (tracer_.tracing() && (ack.features & kFeatureTrace) != 0) {
-        const std::uint64_t t1 = trace_now_us();
-        const std::int64_t rtt = static_cast<std::int64_t>(t1 - join_sent_us);
-        const std::int64_t skew = static_cast<std::int64_t>(ack.clock_us) +
-                                  rtt / 2 - static_cast<std::int64_t>(t1);
-        tracer_.clock(skew, rtt);
-      }
-      note_handled(tracer_, *env, handle_start);
-      acked = true;
-    }
-  }
+  bool joined = false;
 
-  // Event loop with a liveness side-channel: wake at the heartbeat
-  // interval, ping the current lead so it can tell "slow" from "dead",
-  // and exit once nothing has been heard for four phases — long enough to
-  // sit out an executor election (detection plus backoff plus votes), not
-  // so long a dissolved federation strands the process.
+  // One event loop for the whole life of the worker. Until the JoinAck
+  // arrives it only waits for it (anything else is dropped). After that it
+  // keeps a liveness side-channel: wake at the heartbeat interval, ping
+  // the current lead so it can tell "slow" from "dead", and exit once
+  // nothing has been heard for four phases — long enough to sit out an
+  // executor election (detection plus backoff plus votes), not so long a
+  // dissolved federation strands the process.
   std::uint64_t liveness_token = kLivenessTokenBase;
-  auto last_traffic = std::chrono::steady_clock::now();
-  auto last_heartbeat = last_traffic;
+  Clock::time_point last_traffic{};
+  Clock::time_point last_heartbeat{};
   // Set when a Leave arrives while an audit is still in flight: under
   // executor rotation the final rounds can close within milliseconds,
   // so the Leave (sent by the last executor) may overtake a proof still
@@ -318,29 +317,57 @@ void WorkerNode::run() {
   // server has stayed silent — bounded by this backstop deadline.
   std::optional<std::chrono::steady_clock::time_point> leave_deadline;
   while (!stop_.load(std::memory_order_relaxed)) {
+    // fifl-lint: allow(nondet-source) -- wake time: bounds the join, idle, heartbeat and audit-retry waits
     const auto now = std::chrono::steady_clock::now();
-    if (leave_deadline && (!pending_audit_ || now >= *leave_deadline)) break;
-    if (now - last_traffic > 4 * timeouts_.phase) {
-      // Idle timeout without a Leave: the federation went away.
-      util::log_warn() << "net: worker " << endpoint_->address()
-                       << " timed out waiting for traffic, exiting";
-      break;
-    }
-    if (now - last_heartbeat >= timeouts_.heartbeat) {
-      last_heartbeat = now;
-      try {
-        endpoint_->send_msg(
-            current_lead_, MessageType::kHeartbeat,
-            HeartbeatMsg{endpoint_->address(), liveness_token++, 0});
-      } catch (const std::exception& e) {
-        util::log_debug() << "net: worker " << endpoint_->address()
-                          << " heartbeat failed: " << e.what();
+    std::chrono::milliseconds wait = timeouts_.heartbeat;
+    if (!joined) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          join_deadline - now);
+      if (left.count() <= 0) {
+        throw std::runtime_error("WorkerNode " +
+                                 std::to_string(endpoint_->address()) +
+                                 ": join timed out");
       }
+      wait = std::min(left, wait);
+    } else {
+      if (leave_deadline && (!pending_audit_ || now >= *leave_deadline)) {
+        break;
+      }
+      if (now - last_traffic > 4 * timeouts_.phase) {
+        // Idle timeout without a Leave: the federation went away.
+        util::log_warn() << "net: worker " << endpoint_->address()
+                         << " timed out waiting for traffic, exiting";
+        break;
+      }
+      if (now - last_heartbeat >= timeouts_.heartbeat) {
+        last_heartbeat = now;
+        try {
+          endpoint_->send_msg(
+              current_lead_, MessageType::kHeartbeat,
+              HeartbeatMsg{endpoint_->address(), liveness_token++, 0});
+        } catch (const std::exception& e) {
+          util::log_debug() << "net: worker " << endpoint_->address()
+                            << " heartbeat failed: " << e.what();
+        }
+      }
+      if (pending_audit_ && now >= pending_audit_->deadline) retry_audit(now);
     }
-    if (pending_audit_ && now >= pending_audit_->deadline) retry_audit();
-    auto env = endpoint_->recv(timeouts_.heartbeat);
+    auto env = endpoint_->recv(wait);
     if (!env) continue;
+    // fifl-lint: allow(nondet-source) -- receipt time: handle-latency metric, idle clock and audit-retry deadline
     last_traffic = std::chrono::steady_clock::now();
+    if (!joined) {
+      if (env->type != MessageType::kJoinAck) continue;
+      const auto ack = decode_payload<JoinAckMsg>(env->payload);
+      upload_codec_ = static_cast<fl::Codec>(ack.upload_codec);
+      keep_fraction_ = ack.keep_fraction;
+      total_rounds_ = ack.rounds;
+      adopt_join_clock(tracer_, ack, join_sent_us);
+      note_handled(tracer_, *env, last_traffic);
+      joined = true;
+      last_heartbeat = last_traffic;
+      continue;
+    }
     switch (env->type) {
       case MessageType::kModelBroadcast:
         // Whoever fans out θ is the executor: re-home liveness traffic.
@@ -371,9 +398,7 @@ void WorkerNode::run() {
                                                topology_.workers)
                   : 0;
           pending_audit_ = PendingAudit{
-              msg.round,
-              std::chrono::steady_clock::now() + timeouts_.liveness, 1,
-              lead_index};
+              msg.round, last_traffic + timeouts_.liveness, 1, lead_index};
           send_audit_query(msg.round, lead_index,
                            env->has_trace ? env->trace.span_id : 0);
         }
@@ -534,6 +559,7 @@ void WorkerNode::handle_broadcast(const ModelBroadcastMsg& msg,
     }
   }
   // Ping the lead once per round; the echo feeds net.rtt_ms.
+  // fifl-lint: allow(nondet-source) -- RTT ping send stamp, feeds only the net.rtt_ms histogram
   ping_sent_[msg.round] = std::chrono::steady_clock::now();
   try {
     endpoint_->send_msg(current_lead_, MessageType::kHeartbeat,
@@ -605,14 +631,100 @@ void ServerNode::run() {
   }
 }
 
-void ServerNode::note_worker_traffic(NodeKey from) {
+void ServerNode::note_worker_traffic(NodeKey from, Clock::time_point now) {
   if (from >= topology_.workers) return;
-  last_seen_[from] = std::chrono::steady_clock::now();
+  last_seen_[from] = now;
 }
 
-void ServerNode::handle_control(const Envelope& envelope) {
-  const auto handle_start = std::chrono::steady_clock::now();
-  note_worker_traffic(envelope.from);
+bool ServerNode::pump(std::chrono::milliseconds timeout,
+                      const std::function<bool()>& done,
+                      const std::function<void(Clock::time_point)>& tick) {
+  std::optional<Envelope> env;
+  std::optional<Clock::time_point> start;
+  for (;;) {
+    // One clock read per wake: it stamps the envelope just received (so
+    // dispatch happens here, at the top) and drives the caller's timers
+    // and this wait's deadline.
+    // fifl-lint: allow(nondet-source) -- wake time: receipt stamp for liveness and handle latency, and the bound on this wait
+    const auto now = std::chrono::steady_clock::now();
+    if (!start) start = now;
+    if (env) {
+      dispatch(*env, now);
+      env.reset();
+    }
+    if (tick && !done()) tick(now);
+    if (done()) return true;
+    if (stop_.load(std::memory_order_relaxed)) return false;
+    const auto left =
+        timeout -
+        std::chrono::duration_cast<std::chrono::milliseconds>(now - *start);
+    if (left.count() <= 0) return false;
+    env = endpoint_->recv(std::min(left, config_.timeouts.heartbeat));
+  }
+}
+
+void ServerNode::dispatch(const Envelope& envelope, Clock::time_point now) {
+  last_rx_ = now;
+  if (election_muted_) {
+    // The federation is talking to us again: the demotion-era silence is
+    // over, re-arm the election clock from scratch.
+    election_muted_ = false;
+    last_progress_ = now;
+  }
+  if (envelope.type == MessageType::kRoundSummary ||
+      envelope.type == MessageType::kBlockProposal) {
+    last_progress_ = now;  // the executor is making progress
+  }
+  if (envelope.type == MessageType::kGradientUpload) {
+    intake_upload(envelope, now);
+  } else {
+    handle_control(envelope, now);
+  }
+}
+
+void ServerNode::intake_upload(const Envelope& envelope,
+                               Clock::time_point start) {
+  auto& metrics = NetMetrics::global();
+  GradientUploadMsg msg = decode_payload<GradientUploadMsg>(envelope.payload);
+  note_worker_traffic(msg.worker, start);
+  // The lowest round still open here: a follower's next round, or the
+  // executor's round while its collect window is open.
+  const bool closed_round = is_executor() && !collecting_;
+  const std::uint64_t open_round = next_round_ + (closed_round ? 1 : 0);
+  if (is_executor() && dead_workers_.count(msg.worker) != 0) {
+    note_dead_upload(msg.worker);
+  } else {
+    // An upload for round r proves the worker trained on θ_r, so it
+    // doubles as a broadcast ack for delta re-basing.
+    note_broadcast_ack(msg.worker, msg.round);
+    if (msg.round >= open_round) {
+      pending_uploads_[msg.round][msg.worker] = std::move(msg);
+    } else {
+      metrics.late_uploads->inc();
+      util::log_debug() << "net: late upload from worker " << msg.worker
+                        << " for round " << msg.round << " (open from "
+                        << open_round << ")";
+    }
+  }
+  note_handled(tracer_, envelope, start);
+}
+
+void ServerNode::note_dead_upload(NodeKey worker) {
+  // A declared-dead worker is speaking again: its uploads stay rejected
+  // for the round in flight (the roster already shrank around it), but
+  // it re-homes at the next ModelBroadcast and catches up from there.
+  auto& metrics = NetMetrics::global();
+  metrics.dead_uploads->inc();
+  if (revive_pending_.insert(worker).second) {
+    metrics.worker_rejoins->inc();
+    util::log_info() << "net: dead worker " << worker
+                     << " is back, re-homing at next broadcast";
+  }
+}
+
+void ServerNode::handle_control(const Envelope& envelope,
+                                Clock::time_point start) {
+  note_worker_traffic(envelope.from, start);
   switch (envelope.type) {
     case MessageType::kJoin: {
       const auto join = decode_payload<JoinMsg>(envelope.payload);
@@ -659,6 +771,9 @@ void ServerNode::handle_control(const Envelope& envelope) {
       }
       break;
     }
+    case MessageType::kJoinAck:
+      join_ack_ = decode_payload<JoinAckMsg>(envelope.payload);
+      break;
     case MessageType::kHeartbeat: {
       auto hb = decode_payload<HeartbeatMsg>(envelope.payload);
       if (hb.echo == 0) {
@@ -691,6 +806,9 @@ void ServerNode::handle_control(const Envelope& envelope) {
       // this replica. The follower drain discards stale rounds anyway.
       auto summary = decode_payload<RoundSummaryMsg>(envelope.payload);
       summary_sender_[summary.round] = envelope.from;
+      if (envelope.from >= topology_.workers) {
+        heard_summary_from_ = envelope.from - topology_.workers;
+      }
       pending_summaries_[summary.round] = std::move(summary);
       break;
     }
@@ -757,8 +875,14 @@ void ServerNode::handle_control(const Envelope& envelope) {
       break;
     }
     case MessageType::kChainSyncResponse:
-      // Stray or late response: the requester's blocking wait already
-      // moved on, and an unsolicited sync must not mutate the replica.
+      // Applied only while request_chain_sync waits for it; a stray or
+      // late response is dropped, so an unsolicited sync never mutates
+      // the replica.
+      if (awaiting_sync_) {
+        awaiting_sync_ = false;
+        sync_advanced_ = apply_chain_sync(
+            decode_payload<ChainSyncResponseMsg>(envelope.payload));
+      }
       break;
     case MessageType::kLeave:
       leave_received_ = true;
@@ -766,61 +890,29 @@ void ServerNode::handle_control(const Envelope& envelope) {
     default:
       break;
   }
-  note_handled(tracer_, envelope, handle_start);
+  note_handled(tracer_, envelope, start);
 }
 
-void ServerNode::lead_handle_upload(
-    GradientUploadMsg msg, std::uint64_t round,
-    std::map<std::uint32_t, GradientUploadMsg>* slots) {
+void ServerNode::collect_uploads(std::uint64_t round) {
   auto& metrics = NetMetrics::global();
-  note_worker_traffic(msg.worker);
-  if (dead_workers_.count(msg.worker) != 0) {
-    // A declared-dead worker is speaking again: its uploads stay rejected
-    // for the round in flight (the roster already shrank around it), but
-    // it re-homes at the next ModelBroadcast and catches up from there.
-    metrics.dead_uploads->inc();
-    if (revive_pending_.insert(msg.worker).second) {
-      metrics.worker_rejoins->inc();
-      util::log_info() << "net: dead worker " << msg.worker
-                       << " is back, re-homing at next broadcast";
-    }
-    return;
-  }
-  // An upload for round r proves the worker trained on θ_r, so it doubles
-  // as a broadcast ack for delta re-basing.
-  note_broadcast_ack(msg.worker, msg.round);
-  if (slots != nullptr && msg.round == round) {
-    (*slots)[msg.worker] = std::move(msg);
-  } else if (msg.round > round) {
-    pending_uploads_[msg.round][msg.worker] = std::move(msg);
-  } else {
-    // Upload for a round whose collect window already closed.
-    metrics.late_uploads->inc();
-    util::log_debug() << "net: late upload from worker " << msg.worker
-                      << " for round " << msg.round << " (current " << round
-                      << ")";
-  }
-}
-
-void ServerNode::collect_uploads(
-    std::uint64_t round, std::map<std::uint32_t, GradientUploadMsg>& slots,
-    std::chrono::steady_clock::time_point deadline) {
-  auto& metrics = NetMetrics::global();
-  if (auto it = pending_uploads_.find(round); it != pending_uploads_.end()) {
-    // Route buffered-ahead uploads through the same intake as live ones,
-    // so a dead worker's early upload still counts as "spoke again".
-    auto buffered = std::move(it->second);
-    pending_uploads_.erase(it);
-    for (auto& [worker, msg] : buffered) {
-      lead_handle_upload(std::move(msg), round, &slots);
+  auto& slots = pending_uploads_[round];
+  // Uploads buffered before the window opened (a worker racing ahead, or
+  // copies this node took while following) pass the same dead-worker
+  // check as live ones, so a dead worker's early upload still counts as
+  // "spoke again".
+  for (auto it = slots.begin(); it != slots.end();) {
+    if (dead_workers_.count(it->first) != 0) {
+      note_dead_upload(it->first);
+      it = slots.erase(it);
+    } else {
+      ++it;
     }
   }
-  while (!leave_received_ && !stop_.load(std::memory_order_relaxed)) {
-    // Prune the roster: silence longer than the liveness window means the
-    // worker process is gone, not slow. Its slot is given up immediately
-    // so a crashed worker costs one liveness window, not a full phase
-    // timeout every round.
-    const auto now = std::chrono::steady_clock::now();
+  // Prune the roster at every wake: silence longer than the liveness
+  // window means the worker process is gone, not slow. Its slot is given
+  // up immediately so a crashed worker costs one liveness window, not a
+  // full phase timeout every round.
+  const auto prune_roster = [&](Clock::time_point now) {
     for (std::uint32_t i = 0; i < topology_.workers; ++i) {
       if (dead_workers_.count(i) != 0) continue;
       const auto seen = last_seen_.find(i);
@@ -837,92 +929,47 @@ void ServerNode::collect_uploads(
                          << " dead (silent beyond the liveness window)";
       }
     }
-    bool all_live_slotted = true;
+  };
+  const auto all_live_slotted = [&] {
+    if (leave_received_) return true;
     for (std::uint32_t i = 0; i < topology_.workers; ++i) {
-      if (dead_workers_.count(i) == 0 && slots.count(i) == 0) {
-        all_live_slotted = false;
-        break;
-      }
+      if (dead_workers_.count(i) == 0 && slots.count(i) == 0) return false;
     }
-    if (all_live_slotted) break;
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - now);
-    if (left.count() <= 0) break;  // missing workers become uncertain events
-    auto env = endpoint_->recv(std::min(left, config_.timeouts.heartbeat));
-    if (!env) continue;  // wake up for the liveness scan regardless
-    if (env->type == MessageType::kGradientUpload) {
-      const auto handle_start = std::chrono::steady_clock::now();
-      lead_handle_upload(decode_payload<GradientUploadMsg>(env->payload),
-                         round, &slots);
-      note_handled(tracer_, *env, handle_start);
-    } else {
-      handle_control(*env);
-    }
-  }
+    return true;
+  };
+  // Past the deadline, missing workers become uncertain events.
+  collecting_ = true;
+  pump(config_.timeouts.phase, all_live_slotted, prune_roster);
+  collecting_ = false;
 }
 
 void ServerNode::await_federation() {
-  const auto join_deadline =
-      std::chrono::steady_clock::now() + config_.timeouts.join;
-  while ((joined_workers_ < topology_.workers ||
-          joined_servers_ + 1 < topology_.servers) &&
-         !stop_.load(std::memory_order_relaxed)) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        join_deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) {
-      throw std::runtime_error(
-          "lead: join phase timed out (" + std::to_string(joined_workers_) +
-          "/" + std::to_string(topology_.workers) + " workers, " +
-          std::to_string(joined_servers_ + 1) + "/" +
-          std::to_string(topology_.servers) + " servers)");
-    }
-    auto env = endpoint_->recv(left);
-    if (env) handle_control(*env);
-  }
+  const bool joined = pump(config_.timeouts.join, [this] {
+    return joined_workers_ >= topology_.workers &&
+           joined_servers_ + 1 >= topology_.servers;
+  });
+  if (joined || stop_.load(std::memory_order_relaxed)) return;
+  throw std::runtime_error(
+      "lead: join phase timed out (" + std::to_string(joined_workers_) + "/" +
+      std::to_string(topology_.workers) + " workers, " +
+      std::to_string(joined_servers_ + 1) + "/" +
+      std::to_string(topology_.servers) + " servers)");
 }
 
 void ServerNode::join_federation() {
-  const NodeKey lead = topology_.lead_key();
-  JoinMsg join{endpoint_->address(), NodeRole::kServer};
-  std::uint64_t join_sent_us = 0;
-  if (tracer_.tracing()) {
-    join.features = kFeatureTrace;
-    join_sent_us = trace_now_us();
-    join.clock_us = join_sent_us;
+  const std::uint64_t sent_us =
+      send_join(*endpoint_, tracer_, topology_.lead_key(),
+                JoinMsg{endpoint_->address(), NodeRole::kServer});
+  if (!pump(config_.timeouts.join, [this] { return join_ack_.has_value(); })) {
+    if (stop_.load(std::memory_order_relaxed)) return;
+    throw std::runtime_error("ServerNode " +
+                             std::to_string(endpoint_->address()) +
+                             ": join timed out");
   }
-  traced_send(*endpoint_, tracer_, lead, MessageType::kJoin, join, 0);
-  const auto join_deadline =
-      std::chrono::steady_clock::now() + config_.timeouts.join;
-  bool acked = false;
-  while (!acked && !stop_.load(std::memory_order_relaxed)) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        join_deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) {
-      throw std::runtime_error("ServerNode " +
-                               std::to_string(endpoint_->address()) +
-                               ": join timed out");
-    }
-    auto env = endpoint_->recv(left);
-    if (!env) continue;
-    if (env->type == MessageType::kJoinAck) {
-      const auto handle_start = std::chrono::steady_clock::now();
-      const auto ack = decode_payload<JoinAckMsg>(env->payload);
-      // A follower that may be elected executor must know when the run
-      // ends; the JoinAck carries the lead's round budget.
-      if (config_.rounds == 0) config_.rounds = ack.rounds;
-      if (tracer_.tracing() && (ack.features & kFeatureTrace) != 0) {
-        const std::uint64_t t1 = trace_now_us();
-        const std::int64_t rtt = static_cast<std::int64_t>(t1 - join_sent_us);
-        const std::int64_t skew = static_cast<std::int64_t>(ack.clock_us) +
-                                  rtt / 2 - static_cast<std::int64_t>(t1);
-        tracer_.clock(skew, rtt);
-      }
-      note_handled(tracer_, *env, handle_start);
-      acked = true;
-    } else {
-      handle_control(*env);
-    }
-  }
+  // A follower that may be elected executor must know when the run ends;
+  // the JoinAck carries the lead's round budget.
+  if (config_.rounds == 0) config_.rounds = join_ack_->rounds;
+  adopt_join_clock(tracer_, *join_ack_, sent_us);
 }
 
 void ServerNode::run_executor() {
@@ -938,6 +985,7 @@ void ServerNode::run_executor() {
          !stop_.load(std::memory_order_relaxed)) {
     const std::uint64_t r = next_round_;
     const CounterSnapshot net_before = CounterSnapshot::take();
+    // fifl-lint: allow(nondet-source) -- round start: restarts each live worker's liveness window and times the round's phases
     const auto train_start = std::chrono::steady_clock::now();
 
     // Re-home workers that spoke again after being declared dead: they
@@ -999,10 +1047,11 @@ void ServerNode::run_executor() {
     }
 
     // Collect uploads (the networked analogue of local_train + channel).
+    // fifl-lint: allow(nondet-source) -- phase start: collect-phase latency metric only
     const auto collect_start = std::chrono::steady_clock::now();
-    std::map<std::uint32_t, GradientUploadMsg> slots;
-    collect_uploads(r, slots, collect_start + config_.timeouts.phase);
+    collect_uploads(r);
     if (stop_.load(std::memory_order_relaxed)) return;
+    auto& slots = pending_uploads_[r];
     const double collect_ms = elapsed_ms(train_start);
     note_phase(tracer_, metrics.phase_collect_ms, "collect", r, collect_start);
 
@@ -1015,24 +1064,13 @@ void ServerNode::run_executor() {
       if (config_.failover) {
         // Losing the worker quorum under failover means *this* server is
         // likely the partitioned side, not the workers: demote to
-        // follower instead of killing the run, give the uploads back to
-        // the buffer (a successor re-drives r from them), and forget
-        // every liveness judgment made while partitioned. The mute keeps
-        // a truly isolated ex-executor from proposing elections into the
-        // void; any received envelope lifts it.
+        // follower instead of killing the run. The uploads stay buffered
+        // (a successor re-drives r from them).
         util::log_warn() << "net: server " << endpoint_->address()
                          << " lost the worker quorum for round " << r << " ("
                          << counted << " of " << topology_.workers
                          << "), stepping down as executor";
-        for (auto& [worker, msg] : slots) {
-          pending_uploads_[r][worker] = std::move(msg);
-        }
-        dead_workers_.clear();
-        revive_pending_.clear();
-        last_seen_.clear();
-        acked_round_.clear();
-        executor_index_ = kUnknownExecutor;
-        election_muted_ = true;
+        step_down();
         return;
       }
       // Abort path: capture the last K events of every node before the
@@ -1068,34 +1106,22 @@ void ServerNode::run_executor() {
     summary.next_executor = next_executor;
     summary.counted.reserve(counted);
     for (const auto& [worker, msg] : slots) summary.counted.push_back(worker);
+    // fifl-lint: allow(nondet-source) -- phase start: assess-phase latency metric only
     const auto assess_start = std::chrono::steady_clock::now();
     send_to_other_servers(MessageType::kRoundSummary, summary, r);
 
     std::vector<GradientUploadMsg> msgs;
     msgs.reserve(slots.size());
     for (auto& [worker, msg] : slots) msgs.push_back(std::move(msg));
+    pending_uploads_.erase(r);
     canonicalize_uploads_into(msgs, topology_.workers, upload_scratch_);
     const std::vector<fl::Upload>& uploads = upload_scratch_;
 
     // Full pipeline on the executor's replica.
     const core::RoundReport report = engine_->process_round(uploads);
 
-    if (replicated_) {
-      // The engine just sealed block r; propose it. Followers re-derive
-      // the same block from their own replica state and answer with
-      // signed endorsements — the executor never ships a bare "trust me".
-      const chain::SealedBlockHeader& sealed = replicated_->propose(r);
-      BlockProposalMsg proposal;
-      proposal.round = r;
-      proposal.block_index = sealed.header.index;
-      proposal.previous_hash = sealed.header.previous_hash;
-      proposal.merkle_root = sealed.header.merkle_root;
-      proposal.block_hash = sealed.header.block_hash;
-      proposal.executor_sig = sealed.executor_sig;
-      proposal.records = engine_->ledger().block(r).records;
-      send_to_other_servers(MessageType::kBlockProposal, proposal, r);
-      drain_pending_votes(r);
-    }
+    // The engine just sealed block r; propose it.
+    if (replicated_) propose_block(r);
 
     // Gather the follower slices and check every complete one bitwise
     // against this replica's result: divergence on a complete slice means
@@ -1103,25 +1129,10 @@ void ServerNode::run_executor() {
     // fork the federation. A missing or incomplete slice is a tolerated
     // crash-fault gap (net.slice_gaps), not divergence; known-dead
     // servers are not waited for and not counted as gaps.
-    const auto slice_deadline =
-        std::chrono::steady_clock::now() + config_.timeouts.phase;
-    while (pending_slices_[r].size() + 1 + dead_servers_.size() <
-               topology_.servers &&
-           !stop_.load(std::memory_order_relaxed)) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          slice_deadline - std::chrono::steady_clock::now());
-      if (left.count() <= 0) break;
-      auto env = endpoint_->recv(left);
-      if (!env) continue;
-      if (env->type == MessageType::kGradientUpload) {
-        const auto handle_start = std::chrono::steady_clock::now();
-        lead_handle_upload(decode_payload<GradientUploadMsg>(env->payload), r,
-                           nullptr);
-        note_handled(tracer_, *env, handle_start);
-      } else {
-        handle_control(*env);
-      }
-    }
+    pump(config_.timeouts.phase, [&] {
+      return pending_slices_[r].size() + 1 + dead_servers_.size() >=
+             topology_.servers;
+    });
     for (std::uint32_t j = 0; j < topology_.servers; ++j) {
       if (j == self || dead_servers_.count(j) != 0) continue;
       const auto slice_it = pending_slices_[r].find(j);
@@ -1163,6 +1174,7 @@ void ServerNode::run_executor() {
       // Block r must reach endorsement quorum before the round's effects
       // (θ update, assessment) are published — a below-quorum ledger means
       // the audit trail is no longer replicated enough to be trusted.
+      // fifl-lint: allow(nondet-source) -- phase start: ledger-commit latency metric only
       const auto commit_start = std::chrono::steady_clock::now();
       if (!await_ledger_commit(r)) return;  // demoted: a successor re-drives r
       if (stop_.load(std::memory_order_relaxed)) return;
@@ -1289,7 +1301,6 @@ void ServerNode::run_executor() {
 }
 
 void ServerNode::run_follower() {
-  auto& metrics = NetMetrics::global();
   // A degraded round legitimately silences this link for a full phase
   // (the executor waiting out its collect deadline) and, when our slice
   // was lost, a second one (the slice wait) — so only three phases of
@@ -1303,50 +1314,21 @@ void ServerNode::run_follower() {
   // slowest degraded round without false-firing the election.
   const auto progress_budget =
       2 * config_.timeouts.phase + config_.timeouts.liveness;
-  // With a runtime executor role the follower must wake often enough to
-  // run the progress check; without one the old one-phase nap is cheaper.
-  const auto recv_wait = (config_.failover || config_.rotate_executor)
-                             ? config_.timeouts.heartbeat
-                             : config_.timeouts.phase;
-  auto last_traffic = std::chrono::steady_clock::now();
-  auto last_progress = last_traffic;
-  while (!leave_received_ && !stop_.load(std::memory_order_relaxed)) {
-    if (is_executor()) return;  // elected (or handed off) mid-drain
-    const auto now = std::chrono::steady_clock::now();
-    if (now - last_traffic > silence_budget) {
+  // fifl-lint: allow(nondet-source) -- arms the follower's silence and executor-progress timers
+  last_rx_ = std::chrono::steady_clock::now();
+  last_progress_ = last_rx_;
+  const auto follow = [&](Clock::time_point now) {
+    if (now - last_rx_ > silence_budget) {
       util::log_warn() << "net: server " << endpoint_->address()
                        << " timed out waiting for traffic, exiting";
       done_ = true;
       return;
     }
     if (config_.failover && replicated_ && !election_muted_ &&
-        now - last_progress > progress_budget) {
+        now - last_progress_ > progress_budget) {
       if (run_election()) return;
-      last_progress = std::chrono::steady_clock::now();
-    }
-    auto env = endpoint_->recv(recv_wait);
-    if (!env) continue;
-    last_traffic = std::chrono::steady_clock::now();
-    if (election_muted_) {
-      // The federation is talking to us again: the demotion-era silence
-      // is over, re-arm the election clock from scratch.
-      election_muted_ = false;
-      last_progress = last_traffic;
-    }
-    if (env->type == MessageType::kGradientUpload) {
-      auto msg = decode_payload<GradientUploadMsg>(env->payload);
-      if (msg.round >= next_round_) {
-        pending_uploads_[msg.round][msg.worker] = std::move(msg);
-      } else {
-        metrics.late_uploads->inc();
-      }
-      note_handled(tracer_, *env, last_traffic);
-    } else {
-      if (env->type == MessageType::kRoundSummary ||
-          env->type == MessageType::kBlockProposal) {
-        last_progress = last_traffic;  // the executor is making progress
-      }
-      handle_control(*env);
+      // fifl-lint: allow(nondet-source) -- re-arms the executor-progress timer after a lost election
+      last_progress_ = std::chrono::steady_clock::now();
     }
     // Run every round whose summary has arrived, strictly in order.
     while (!pending_summaries_.empty() && !leave_received_ &&
@@ -1389,7 +1371,8 @@ void ServerNode::run_follower() {
       pending_uploads_.erase(pending_uploads_.begin(),
                              pending_uploads_.upper_bound(summary.round));
       next_round_ = summary.round + 1;
-      last_progress = std::chrono::steady_clock::now();
+      // fifl-lint: allow(nondet-source) -- re-arms the executor-progress timer after a processed round
+      last_progress_ = std::chrono::steady_clock::now();
       // Every block this replica has now sealed can be checked against
       // the executor's proposal and endorsed (or exposed as a fork).
       if (replicated_) follower_vote_on_proposals();
@@ -1414,7 +1397,11 @@ void ServerNode::run_follower() {
       }
     }
     if (replicated_) follower_vote_on_proposals();
-  }
+  };
+  // Runs until the role flips (election, handoff), the federation leaves
+  // or goes silent; the follow timer runs at every wake.
+  pump(std::chrono::milliseconds::max(),
+       [this] { return done_ || leave_received_ || is_executor(); }, follow);
   if (leave_received_) done_ = true;
 }
 
@@ -1516,63 +1503,67 @@ void ServerNode::drain_pending_votes(std::uint64_t block_index) {
 }
 
 bool ServerNode::await_ledger_commit(std::uint64_t r) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + config_.timeouts.phase;
-  while (!replicated_->committed(r) &&
-         !stop_.load(std::memory_order_relaxed)) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) {
-      const chain::SealedBlockHeader* sealed = replicated_->sealed(r);
-      const std::uint64_t votes =
-          sealed ? 1 + sealed->votes.size() : 0;  // executor counts itself
-      if (config_.failover) {
-        // No votes arrived within the phase: this executor is the cut-off
-        // side (crashed transport, partition) — the followers already hold
-        // the round summary and will elect a successor to re-drive r.
-        // Step down instead of killing the run. The engine here is one
-        // round ahead of the committed chain (block r sealed but
-        // unendorsed), so mark the replica diverged: rejoin-by-replay
-        // heals it if connectivity returns. Mirrors the worker-quorum
-        // demote above, including forgetting partition-tainted liveness
-        // judgments and muting elections until an envelope proves the
-        // network is back.
-        util::log_warn() << "net: server " << endpoint_->address()
-                         << " ledger commit for round " << r
-                         << " below quorum (" << votes << " of "
-                         << replicated_->quorum()
-                         << " endorsements), stepping down as executor";
-        diverged_ = true;
-        dead_workers_.clear();
-        revive_pending_.clear();
-        last_seen_.clear();
-        acked_round_.clear();
-        executor_index_ = kUnknownExecutor;
-        election_muted_ = true;
-        return false;
-      }
-      tracer_.note(obs::FlightEventKind::kQuorumAbort, obs::kNoFlightPeer,
-                   static_cast<std::uint8_t>(MessageType::kBlockVote), r,
-                   votes);
-      obs::FlightRegistry::global().dump("quorum_abort");
-      throw std::runtime_error(
-          "server " + std::to_string(endpoint_->address()) + ": round " +
-          std::to_string(r) + " ledger commit below quorum (" +
-          std::to_string(votes) + " of " +
-          std::to_string(replicated_->quorum()) + " endorsements)");
-    }
-    auto env = endpoint_->recv(left);
-    if (!env) continue;
-    if (env->type == MessageType::kGradientUpload) {
-      const auto handle_start = std::chrono::steady_clock::now();
-      lead_handle_upload(decode_payload<GradientUploadMsg>(env->payload), r,
-                         nullptr);
-      note_handled(tracer_, *env, handle_start);
-    } else {
-      handle_control(*env);
-    }
+  if (pump(config_.timeouts.phase,
+           [&] { return replicated_->committed(r); }) ||
+      stop_.load(std::memory_order_relaxed)) {
+    return true;
   }
-  return true;
+  const chain::SealedBlockHeader* sealed = replicated_->sealed(r);
+  const std::uint64_t votes =
+      sealed ? 1 + sealed->votes.size() : 0;  // executor counts itself
+  if (config_.failover) {
+    // No votes arrived within the phase: this executor is the cut-off
+    // side (crashed transport, partition) — the followers already hold
+    // the round summary and will elect a successor to re-drive r. Step
+    // down instead of killing the run. The engine here is one round
+    // ahead of the committed chain (block r sealed but unendorsed), so
+    // mark the replica diverged: rejoin-by-replay heals it if
+    // connectivity returns.
+    util::log_warn() << "net: server " << endpoint_->address()
+                     << " ledger commit for round " << r << " below quorum ("
+                     << votes << " of " << replicated_->quorum()
+                     << " endorsements), stepping down as executor";
+    diverged_ = true;
+    step_down();
+    return false;
+  }
+  tracer_.note(obs::FlightEventKind::kQuorumAbort, obs::kNoFlightPeer,
+               static_cast<std::uint8_t>(MessageType::kBlockVote), r, votes);
+  obs::FlightRegistry::global().dump("quorum_abort");
+  throw std::runtime_error(
+      "server " + std::to_string(endpoint_->address()) + ": round " +
+      std::to_string(r) + " ledger commit below quorum (" +
+      std::to_string(votes) + " of " + std::to_string(replicated_->quorum()) +
+      " endorsements)");
+}
+
+void ServerNode::step_down() {
+  // Forget every liveness judgment made while partitioned, and mute
+  // elections: a truly isolated ex-executor must not propose into the
+  // void. Any received envelope lifts the mute (see dispatch).
+  dead_workers_.clear();
+  revive_pending_.clear();
+  last_seen_.clear();
+  acked_round_.clear();
+  executor_index_ = kUnknownExecutor;
+  election_muted_ = true;
+}
+
+void ServerNode::propose_block(std::uint64_t b) {
+  // Followers re-derive the same block from their own replica state and
+  // answer with signed endorsements — the executor never ships a bare
+  // "trust me".
+  const chain::SealedBlockHeader& sealed = replicated_->propose(b);
+  BlockProposalMsg proposal;
+  proposal.round = b;
+  proposal.block_index = sealed.header.index;
+  proposal.previous_hash = sealed.header.previous_hash;
+  proposal.merkle_root = sealed.header.merkle_root;
+  proposal.block_hash = sealed.header.block_hash;
+  proposal.executor_sig = sealed.executor_sig;
+  proposal.records = engine_->ledger().block(b).records;
+  send_to_other_servers(MessageType::kBlockProposal, proposal, b);
+  drain_pending_votes(b);
 }
 
 void ServerNode::process_summary(const RoundSummaryMsg& summary,
@@ -1585,31 +1576,12 @@ void ServerNode::process_summary(const RoundSummaryMsg& summary,
     // Grace-wait for counted uploads that are still in flight behind the
     // summary (the executor saw them; this replica's copies may be
     // delayed).
-    const auto deadline =
-        std::chrono::steady_clock::now() + config_.timeouts.phase;
-    while (!leave_received_ && !stop_.load(std::memory_order_relaxed)) {
+    complete = pump(config_.timeouts.phase, [&] {
+      if (leave_received_) return true;
       const auto& slots = pending_uploads_[r];
-      const bool missing =
-          std::any_of(summary.counted.begin(), summary.counted.end(),
-                      [&](std::uint32_t w) { return slots.count(w) == 0; });
-      if (!missing) break;
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
-      if (left.count() <= 0) {
-        complete = false;
-        break;
-      }
-      auto env = endpoint_->recv(left);
-      if (!env) continue;
-      if (env->type == MessageType::kGradientUpload) {
-        auto msg = decode_payload<GradientUploadMsg>(env->payload);
-        if (msg.round >= r) {
-          pending_uploads_[msg.round][msg.worker] = std::move(msg);
-        }
-      } else {
-        handle_control(*env);  // later summaries buffer for the run loop
-      }
-    }
+      return std::all_of(summary.counted.begin(), summary.counted.end(),
+                         [&](std::uint32_t w) { return slots.count(w) != 0; });
+    });
     if (leave_received_ || stop_.load(std::memory_order_relaxed)) return;
   }
 
@@ -1835,32 +1807,18 @@ bool ServerNode::run_election() {
   std::size_t rank = 0;
   while (rank < candidates.size() && candidates[rank] != self) ++rank;
   const auto backoff = rank * config_.timeouts.liveness;
+  // fifl-lint: allow(nondet-source) -- election start: backoff slot and the election_ms metric
   const auto started = std::chrono::steady_clock::now();
-  const auto deadline = started + 2 * config_.timeouts.phase;
   bool proposed = false;
   std::size_t grants = 0;
   election_votes_.clear();
+  heard_summary_from_.reset();
   util::log_warn() << "net: server " << endpoint_->address()
                    << " starts an election for view " << view_
                    << " (executor " << dead << " silent, rank " << rank
                    << ")";
 
-  while (!stop_.load(std::memory_order_relaxed)) {
-    // A better-ranked candidate won while we were waiting our slot (the
-    // grant re-homed executor_index_ via handle_view_change).
-    if (executor_index_ != kUnknownExecutor) return is_executor();
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      tracer_.note(obs::FlightEventKind::kQuorumAbort, obs::kNoFlightPeer,
-                   static_cast<std::uint8_t>(MessageType::kViewChange),
-                   next_round_, grants);
-      obs::FlightRegistry::global().dump("view_change_abort");
-      throw std::runtime_error(
-          "server " + std::to_string(endpoint_->address()) +
-          ": view change for round " + std::to_string(next_round_) +
-          " below quorum (" + std::to_string(grants) + " of " +
-          std::to_string(replicated_->quorum()) + " grants)");
-    }
+  const auto campaign = [&](Clock::time_point now) {
     if (!proposed && now - started >= backoff) {
       proposed = true;
       proposed_view_ = view_;
@@ -1902,100 +1860,73 @@ bool ServerNode::run_election() {
         }
       }
     }
-    if (proposed && grants >= replicated_->quorum()) {
-      metrics.view_changes->inc();
-      metrics.election_ms->observe(elapsed_ms(started));
-      tracer_.note(obs::FlightEventKind::kViewChange,
-                   topology_.server_key(dead),
-                   static_cast<std::uint8_t>(MessageType::kViewChange),
-                   next_round_, view_);
-      util::log_warn() << "net: server " << endpoint_->address()
-                       << " won the election for view " << view_ << " with "
-                       << grants << " grants, taking over as executor";
-      executor_index_ = self;
-      // Re-propose every block past the committed tip: the dead executor
-      // may have sealed (and this replica endorsed) blocks whose quorum
-      // certificate it never finished assembling. propose() re-signs and
-      // restarts vote collection; the followers answer through the
-      // committed-re-vote path if they already hold the block committed.
-      const std::uint64_t blocks = engine_->ledger().block_count();
-      if (blocks > 0) {
-        for (std::uint64_t b = std::min<std::uint64_t>(
-                 replicated_->committed_count(), blocks - 1);
-             b < blocks; ++b) {
-          const chain::SealedBlockHeader& entry = replicated_->propose(b);
-          BlockProposalMsg proposal;
-          proposal.round = b;
-          proposal.block_index = entry.header.index;
-          proposal.previous_hash = entry.header.previous_hash;
-          proposal.merkle_root = entry.header.merkle_root;
-          proposal.block_hash = entry.header.block_hash;
-          proposal.executor_sig = entry.executor_sig;
-          proposal.records = engine_->ledger().block(b).records;
-          send_to_other_servers(MessageType::kBlockProposal, proposal, b);
-          drain_pending_votes(b);
-        }
+    if (!proposed || grants < replicated_->quorum()) return;
+    metrics.view_changes->inc();
+    metrics.election_ms->observe(elapsed_ms(started));
+    tracer_.note(obs::FlightEventKind::kViewChange, topology_.server_key(dead),
+                 static_cast<std::uint8_t>(MessageType::kViewChange),
+                 next_round_, view_);
+    util::log_warn() << "net: server " << endpoint_->address()
+                     << " won the election for view " << view_ << " with "
+                     << grants << " grants, taking over as executor";
+    executor_index_ = self;
+    // Re-propose every block past the committed tip: the dead executor
+    // may have sealed (and this replica endorsed) blocks whose quorum
+    // certificate it never finished assembling. propose() re-signs and
+    // restarts vote collection; the followers answer through the
+    // committed-re-vote path if they already hold the block committed.
+    const std::uint64_t blocks = engine_->ledger().block_count();
+    if (blocks > 0) {
+      for (std::uint64_t b = std::min<std::uint64_t>(
+               replicated_->committed_count(), blocks - 1);
+           b < blocks; ++b) {
+        propose_block(b);
       }
-      next_round_ = engine_->round();
-      return true;
     }
-    auto env = endpoint_->recv(config_.timeouts.heartbeat);
-    if (!env) continue;
-    if (env->type == MessageType::kGradientUpload) {
-      auto msg = decode_payload<GradientUploadMsg>(env->payload);
-      if (msg.round >= next_round_) {
-        pending_uploads_[msg.round][msg.worker] = std::move(msg);
-      } else {
-        metrics.late_uploads->inc();
-      }
-      note_handled(tracer_, *env, std::chrono::steady_clock::now());
-      continue;
-    }
-    handle_control(*env);
-    if (env->type == MessageType::kRoundSummary &&
-        env->from >= topology_.workers) {
-      // The "dead" executor spoke: it was slow, not gone. Stand down and
-      // let run_follower process the summary.
-      executor_index_ = env->from - topology_.workers;
-      return false;
-    }
+    next_round_ = engine_->round();
+  };
+  // Our own win, a better-ranked candidate's (the grant re-homed
+  // executor_index_ via handle_view_change), or a summary from the
+  // "dead" executor ends the election.
+  pump(2 * config_.timeouts.phase,
+       [this] {
+         return executor_index_ != kUnknownExecutor ||
+                heard_summary_from_.has_value();
+       },
+       campaign);
+  if (executor_index_ != kUnknownExecutor) return is_executor();
+  if (heard_summary_from_) {
+    // The "dead" executor spoke: it was slow, not gone. Stand down and
+    // let run_follower process the summary.
+    executor_index_ = *heard_summary_from_;
+    return false;
   }
-  return false;
+  if (stop_.load(std::memory_order_relaxed)) return false;
+  tracer_.note(obs::FlightEventKind::kQuorumAbort, obs::kNoFlightPeer,
+               static_cast<std::uint8_t>(MessageType::kViewChange),
+               next_round_, grants);
+  obs::FlightRegistry::global().dump("view_change_abort");
+  throw std::runtime_error(
+      "server " + std::to_string(endpoint_->address()) +
+      ": view change for round " + std::to_string(next_round_) +
+      " below quorum (" + std::to_string(grants) + " of " +
+      std::to_string(replicated_->quorum()) + " grants)");
 }
 
 bool ServerNode::await_handoff_commit(std::uint64_t r) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + config_.timeouts.phase;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    if (replicated_->committed(r)) return true;
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) {
-      util::log_warn() << "net: server " << endpoint_->address()
-                       << " handoff for round " << r
-                       << " timed out waiting for the block to commit";
-      return false;
-    }
-    auto env = endpoint_->recv(std::min(
-        left, std::chrono::duration_cast<std::chrono::milliseconds>(
-                  config_.timeouts.heartbeat)));
-    if (env) {
-      if (env->type == MessageType::kGradientUpload) {
-        auto msg = decode_payload<GradientUploadMsg>(env->payload);
-        if (msg.round >= next_round_) {
-          pending_uploads_[msg.round][msg.worker] = std::move(msg);
-        }
-        note_handled(tracer_, *env, std::chrono::steady_clock::now());
-      } else {
-        handle_control(*env);
-      }
-    }
-    follower_vote_on_proposals();
+  const bool committed = pump(
+      config_.timeouts.phase, [&] { return replicated_->committed(r); },
+      [this](Clock::time_point) { follower_vote_on_proposals(); });
+  if (!committed && !stop_.load(std::memory_order_relaxed)) {
+    util::log_warn() << "net: server " << endpoint_->address()
+                     << " handoff for round " << r
+                     << " timed out waiting for the block to commit";
   }
-  return false;
+  return committed;
 }
 
 bool ServerNode::request_chain_sync(NodeKey target) {
+  // fifl-lint: allow(nondet-source) -- rate limiter: at most one chain sync request per phase
   const auto now = std::chrono::steady_clock::now();
   if (now - last_sync_request_ < config_.timeouts.phase) return false;
   last_sync_request_ = now;
@@ -2014,56 +1945,42 @@ bool ServerNode::request_chain_sync(NodeKey target) {
                      << " failed to request a chain sync: " << e.what();
     return false;
   }
-  const auto deadline = now + config_.timeouts.phase;
+  auto last_sent = now;
   auto next_resend = now + config_.timeouts.heartbeat;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    const auto tick = std::chrono::steady_clock::now();
-    const auto left =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - tick);
-    if (left.count() <= 0) {
-      util::log_warn() << "net: server " << endpoint_->address()
-                       << " chain sync from node " << target << " timed out";
-      return false;
-    }
-    if (tick >= next_resend) {
-      // Re-fire the request at heartbeat cadence: over a lossy transport
-      // (or one that was still swallowing this node's sends when the
-      // first copy went out) a single datagram can vanish, and waiting
-      // out the whole phase for it strands the rejoin. Serving is
-      // idempotent and stray duplicate responses are dropped upstream.
-      next_resend = tick + config_.timeouts.heartbeat;
-      try {
-        traced_send(*endpoint_, tracer_, target,
-                    MessageType::kChainSyncRequest, req, next_round_);
-      } catch (const std::exception&) {
-      }
-    }
-    auto env = endpoint_->recv(std::min<std::chrono::milliseconds>(
-        left, std::chrono::duration_cast<std::chrono::milliseconds>(
-                  config_.timeouts.heartbeat)));
-    if (!env) continue;
+  const auto resend = [&](Clock::time_point tick) {
     // Inbound traffic is the strongest signal the link just healed (a
     // recovering node's first delivered message marks the instant its
     // transport came back): pull the next re-send forward so the sync
     // lands while the cluster is still running, not a heartbeat later.
-    next_resend = std::min(next_resend, std::chrono::steady_clock::now() +
-                                            std::chrono::milliseconds(1));
-    if (env->type == MessageType::kChainSyncResponse) {
-      auto resp = decode_payload<ChainSyncResponseMsg>(env->payload);
-      note_handled(tracer_, *env, std::chrono::steady_clock::now());
-      return apply_chain_sync(resp);
+    if (last_rx_ > last_sent) {
+      next_resend =
+          std::min(next_resend, last_rx_ + std::chrono::milliseconds(1));
     }
-    if (env->type == MessageType::kGradientUpload) {
-      auto msg = decode_payload<GradientUploadMsg>(env->payload);
-      if (msg.round >= next_round_) {
-        pending_uploads_[msg.round][msg.worker] = std::move(msg);
-      }
-      note_handled(tracer_, *env, std::chrono::steady_clock::now());
-      continue;
+    if (tick < next_resend) return;
+    // Re-fire the request at heartbeat cadence: over a lossy transport
+    // (or one that was still swallowing this node's sends when the first
+    // copy went out) a single datagram can vanish, and waiting out the
+    // whole phase for it strands the rejoin. Serving is idempotent and
+    // stray duplicate responses are dropped by handle_control.
+    last_sent = tick;
+    next_resend = tick + config_.timeouts.heartbeat;
+    try {
+      traced_send(*endpoint_, tracer_, target, MessageType::kChainSyncRequest,
+                  req, next_round_);
+    } catch (const std::exception&) {
     }
-    handle_control(*env);
+  };
+  // handle_control applies the response and clears awaiting_sync_.
+  awaiting_sync_ = true;
+  sync_advanced_ = false;
+  const bool answered =
+      pump(config_.timeouts.phase, [this] { return !awaiting_sync_; }, resend);
+  awaiting_sync_ = false;
+  if (!answered && !stop_.load(std::memory_order_relaxed)) {
+    util::log_warn() << "net: server " << endpoint_->address()
+                     << " chain sync from node " << target << " timed out";
   }
-  return false;
+  return answered && sync_advanced_;
 }
 
 bool ServerNode::apply_chain_sync(const ChainSyncResponseMsg& resp) {

@@ -16,10 +16,19 @@
 // bit-identical, which the lead checks against the slices it receives);
 // only the aggregated slices travel on the server→lead path, keeping the
 // paper's polycentric bandwidth shape on the wire. Uploads are buffered
-// into per-worker slots and processed in worker-id order, so results are
-// independent of message arrival order by construction. Each phase waits
-// under a timeout; workers that miss it become "uncertain events",
-// exactly like channel losses in the simulator.
+// by round into per-worker slots and processed in worker-id order, so
+// results are independent of message arrival order by construction. Each
+// phase waits under a timeout; workers that miss it become "uncertain
+// events", exactly like channel losses in the simulator.
+//
+// Event pump: each node has one receive loop. A ServerNode's pump waits
+// until a phase predicate holds or its deadline passes, wakes at least
+// every NodeTimeouts::heartbeat to run the caller's timers (liveness
+// scan, chain-sync re-sends, election backoff), and dispatches every
+// envelope: uploads to the one intake (dead-worker check, broadcast ack,
+// buffering by round, late accounting), everything else to the control
+// handler. Join, collect, slice, commit, grace, follower, election,
+// handoff and chain-sync waits are all predicates on it.
 //
 // Crash-fault tolerance (quorum rounds):
 //   - Workers heartbeat the lead every NodeTimeouts::heartbeat; a worker
@@ -231,8 +240,8 @@ class WorkerNode {
                         std::uint64_t parent_span);
   /// Fallback path: re-aims the pending audit query at the next server
   /// (round-robin) after a liveness window without an answer; gives up
-  /// once every server was tried.
-  void retry_audit();
+  /// once every server was tried. `now` is the event loop's wake time.
+  void retry_audit(std::chrono::steady_clock::time_point now);
 
   std::unique_ptr<fl::Worker> worker_;
   std::unique_ptr<Endpoint> endpoint_;
@@ -364,27 +373,53 @@ class ServerNode {
   /// election resolves it.
   static constexpr std::uint32_t kUnknownExecutor = 0xffffffffu;
 
+  using Clock = std::chrono::steady_clock;
+
+  /// The node's one receive loop; every wait below is a predicate on it.
+  /// Dispatches each envelope it receives until `done` holds (true), or
+  /// `timeout` passes or the node is stopped (false). Wakes at least every
+  /// NodeTimeouts::heartbeat and, while the wait is still open, runs
+  /// `tick` with the wake time — liveness scans, re-sends, election
+  /// backoff.
+  bool pump(std::chrono::milliseconds timeout,
+            const std::function<bool()>& done,
+            const std::function<void(Clock::time_point)>& tick = {});
+  /// Stamps receipt (silence, executor-progress and election-mute
+  /// bookkeeping), then routes uploads to intake_upload and everything
+  /// else to handle_control.
+  void dispatch(const Envelope& envelope, Clock::time_point now);
+  /// The one upload intake: the dead-worker check (executor only), the
+  /// broadcast ack, buffering into pending_uploads_ by round, late
+  /// accounting below the lowest open round, and the handle metric.
+  void intake_upload(const Envelope& envelope, Clock::time_point start);
+  /// Executor: a declared-dead worker spoke again — reject the upload and
+  /// queue the worker for re-homing at the next broadcast.
+  void note_dead_upload(NodeKey worker);
   /// Server 0's join gate: waits for the full federation.
   void await_federation();
   /// Follower join handshake with the bootstrap lead.
   void join_federation();
   void run_executor();
+  /// Follower role: processes summaries in round order, votes on
+  /// proposals, and runs the silence and executor-progress timers; returns
+  /// when the role flips or the run ends.
   void run_follower();
-  /// Lead: waits until every live worker has a slot or the deadline
-  /// passes, echoing heartbeats, buffering slices, and pruning the roster
-  /// through the liveness window meanwhile.
-  void collect_uploads(std::uint64_t round,
-                       std::map<std::uint32_t, GradientUploadMsg>& slots,
-                       std::chrono::steady_clock::time_point deadline);
-  /// Lead: routes one inbound upload — slot / buffer-ahead / late / from a
-  /// dead worker. `slots` is null outside the collect window.
-  void lead_handle_upload(GradientUploadMsg msg, std::uint64_t round,
-                          std::map<std::uint32_t, GradientUploadMsg>* slots);
+  /// Executor: opens round `round`'s collect window and waits until every
+  /// live worker has an upload buffered or the phase passes, pruning the
+  /// roster through the liveness window at every wake.
+  void collect_uploads(std::uint64_t round);
   /// Follower: runs (or refuses) one round against the executor's counted
   /// set; the slice answer goes back to `executor`.
   void process_summary(const RoundSummaryMsg& summary, NodeKey executor);
-  void handle_control(const Envelope& envelope);
-  void note_worker_traffic(NodeKey from);
+  void handle_control(const Envelope& envelope, Clock::time_point start);
+  void note_worker_traffic(NodeKey from, Clock::time_point now);
+  /// Executor: gives up the role after losing the worker quorum or the
+  /// ledger quorum under failover — forgets partition-tainted liveness
+  /// judgments and mutes elections until an envelope arrives.
+  void step_down();
+  /// Executor: (re-)proposes sealed block `b` to the other servers and
+  /// folds in the votes that raced ahead of it.
+  void propose_block(std::uint64_t b);
   /// Any server: verifies + folds one broadcast vote into the local
   /// certificate; votes racing ahead of this replica's own endorsement
   /// are parked in pending_votes_. A contradicting block hash is a ledger
@@ -396,7 +431,7 @@ class ServerNode {
   /// sealed and answers with a signed vote to every server; a mismatch is
   /// a ledger fork.
   void follower_vote_on_proposals();
-  /// Executor: drains votes until block `r` commits or the phase deadline
+  /// Executor: waits until block `r` commits or the phase deadline
   /// passes. Returns false when the deadline hit and failover demoted this
   /// node to follower (the caller must abandon the round); without
   /// failover the deadline is a deterministic abort.
@@ -424,8 +459,9 @@ class ServerNode {
   /// locally before assuming the executor role named in the summary.
   bool await_handoff_commit(std::uint64_t r);
   /// Rejoin-by-replay client: one ChainSyncRequest to `target` (rate
-  /// limited to one per phase) and the blocking wait for its response.
-  /// True when the local replica advanced.
+  /// limited to one per phase, re-sent at heartbeat cadence) and the wait
+  /// for handle_control to apply its response. True when the local
+  /// replica advanced.
   bool request_chain_sync(NodeKey target);
   /// Applies one sync response: catch_up_block for blocks the engine is
   /// missing, adopt_committed for every shipped certificate, θ checkpoint
@@ -447,10 +483,29 @@ class ServerNode {
   RoundCallback round_callback_;
   obs::RoundTraceRecorder* trace_recorder_ = nullptr;
   std::vector<NetRoundResult> results_;
-  /// Uploads buffered ahead of their round (a worker can race ahead of a
-  /// lagging follower), keyed by round then worker.
+  /// The one upload buffer, keyed by round then worker: the executor
+  /// collects its round here, followers hold uploads until the summary
+  /// (a worker can race ahead of a lagging follower).
   std::map<std::uint64_t, std::map<std::uint32_t, GradientUploadMsg>>
       pending_uploads_;
+  /// Executor only: its round's collect window is open. Once it closes,
+  /// uploads for that round count as late.
+  bool collecting_ = false;
+  /// Receipt time of the last envelope, and of the last sign of executor
+  /// progress (a summary or proposal); the follower's silence and
+  /// election timers read them.
+  Clock::time_point last_rx_{};
+  Clock::time_point last_progress_{};
+  /// Follower join: the lead's JoinAck once it arrived.
+  std::optional<JoinAckMsg> join_ack_;
+  /// The server a RoundSummary last came from; an election stands down
+  /// when the executor it gave up on turns out to be alive.
+  std::optional<std::uint32_t> heard_summary_from_;
+  /// Chain sync in flight: handle_control applies the first response
+  /// while set (stray ones are dropped) and records whether it advanced
+  /// the replica.
+  bool awaiting_sync_ = false;
+  bool sync_advanced_ = false;
   /// Lead only: slices buffered by round then server index.
   std::map<std::uint64_t, std::map<std::uint32_t, SliceAggregateMsg>>
       pending_slices_;
@@ -468,7 +523,7 @@ class ServerNode {
   /// Lead only: liveness bookkeeping (last traffic per worker, workers
   /// declared dead, dead workers that spoke again and re-home at the next
   /// broadcast).
-  std::map<NodeKey, std::chrono::steady_clock::time_point> last_seen_;
+  std::map<NodeKey, Clock::time_point> last_seen_;
   std::set<NodeKey> dead_workers_;
   std::set<NodeKey> revive_pending_;
   /// Follower only: executor summaries not yet processed (plus who sent
@@ -506,7 +561,7 @@ class ServerNode {
   /// parked by block index.
   std::map<std::uint64_t, std::vector<BlockVoteMsg>> pending_votes_;
   /// Rate limiter for ChainSyncRequest retries.
-  std::chrono::steady_clock::time_point last_sync_request_{};
+  Clock::time_point last_sync_request_{};
   /// Replicated-ledger state (null unless config_.replicate_ledger).
   std::unique_ptr<chain::ReplicatedLedger> replicated_;
   /// Follower only: block proposals buffered until the local replica has

@@ -4,12 +4,19 @@
 // uploads are rejected (but queue it for re-homing), degraded rounds
 // proceed on the surviving quorum, and a roster below the quorum floor
 // aborts the run.
+//
+// A cluster-level test pins the follower side of upload accounting:
+// uploads that reach a follower only after the executor's summary (the
+// grace wait) are handled, counted and never late.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <thread>
 
 #include "core/fifl.hpp"
+#include "data/synthetic.hpp"
+#include "net/cluster.hpp"
+#include "net/fault.hpp"
 #include "net/node.hpp"
 #include "net/transport.hpp"
 #include "nn/checkpoint.hpp"
@@ -256,6 +263,81 @@ TEST(Liveness, BelowQuorumAborts) {
   w1_ep->close();
   w0.join();
   w1.join();
+}
+
+
+// An M=3, N=4 cluster whose worker->follower links all deliver 30-40 ms
+// late: the lead collects at once and publishes its summary, so each
+// follower takes the round's uploads inside its grace wait. Every upload
+// at every server must pass the one intake (one handle-time sample each,
+// none late), and the run must match the undelayed one bit for bit.
+TEST(Liveness, DelayedFollowerUploadsAreHandledOnceAndNeverLate) {
+  constexpr std::uint32_t kN = 4;
+  constexpr std::uint32_t kM = 3;
+  constexpr std::size_t kRounds = 4;
+  const auto run_cluster = [&](FaultSchedule schedule) {
+    auto spec = data::mnist_like(kN * 60, 5);
+    spec.image_size = 8;
+    const auto split = data::make_synthetic_split(spec, 50);
+    std::vector<fl::BehaviourPtr> behaviours;
+    for (std::uint32_t i = 0; i < kN; ++i) {
+      behaviours.push_back(std::make_unique<fl::HonestBehaviour>());
+    }
+    util::Rng setup_rng(3);
+    auto setups =
+        fl::make_worker_setups(split.train, std::move(behaviours), setup_rng);
+    ClusterConfig cfg;
+    cfg.sim.seed = 11;
+    cfg.sim.batch_size = 32;
+    cfg.fifl.servers = kM;
+    cfg.rounds = kRounds;
+    cfg.timeouts.join = milliseconds(30000);
+    cfg.timeouts.phase = milliseconds(2500);
+    cfg.timeouts.heartbeat = milliseconds(150);
+    cfg.timeouts.liveness = milliseconds(1000);
+    cfg.transport_override = std::make_shared<FaultyTransport>(
+        std::make_unique<LoopbackTransport>(), std::move(schedule));
+    const fl::ModelFactory factory = [](util::Rng& rng) {
+      auto model = std::make_unique<nn::Sequential>();
+      model->emplace<nn::Flatten>();
+      model->emplace<nn::Linear>(64, 10, rng);
+      return model;
+    };
+    Cluster cluster(cfg, factory, std::move(setups), split.test);
+    std::vector<std::string> hashes;
+    for (const NetRoundResult& row : cluster.run()) {
+      hashes.push_back(row.model_hash);
+    }
+    return hashes;
+  };
+
+  const std::vector<std::string> undelayed = run_cluster(FaultSchedule{});
+
+  FaultSchedule delayed;
+  delayed.seed = 7;
+  for (NodeKey w = 0; w < kN; ++w) {
+    for (std::uint32_t j = 1; j < kM; ++j) {
+      LinkFaults link;
+      link.from = w;
+      link.to = kN + j;
+      link.delay_prob = 1.0;
+      link.delay_min = milliseconds(30);
+      link.delay_max = milliseconds(40);
+      delayed.links.push_back(link);
+    }
+  }
+  NetMetrics& m = NetMetrics::global();
+  obs::Histogram* handled =
+      m.handle_for(static_cast<std::uint8_t>(MessageType::kGradientUpload));
+  ASSERT_NE(handled, nullptr);
+  const std::uint64_t handled_before = handled->count();
+  const std::uint64_t late_before = m.late_uploads->value();
+  const std::vector<std::string> hashes = run_cluster(std::move(delayed));
+
+  EXPECT_EQ(handled->count() - handled_before, kN * kM * kRounds);
+  EXPECT_EQ(m.late_uploads->value() - late_before, 0u);
+  ASSERT_EQ(hashes.size(), kRounds);
+  EXPECT_EQ(hashes, undelayed);
 }
 
 }  // namespace

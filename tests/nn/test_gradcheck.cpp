@@ -19,6 +19,11 @@ struct GradcheckCase {
   double tolerance;
 };
 
+// Print a case by name. Without this, gtest dumps the struct's raw bytes,
+// pointers included, so each test's listed name would change from one
+// discovery to the next.
+void PrintTo(const GradcheckCase& tc, std::ostream* os) { *os << tc.name; }
+
 class ModelGradcheck : public ::testing::TestWithParam<GradcheckCase> {};
 
 TEST_P(ModelGradcheck, AnalyticMatchesNumeric) {

@@ -99,7 +99,6 @@ struct Config {
       "src/obs/",             // observability layer measures wall time
       "src/net/tcp.cpp",      // socket timeouts / retry backoff
       "src/net/fault.cpp",    // delay-injection needs real deadlines
-      "src/net/node.cpp",     // event-loop phase/join/liveness deadlines
       "src/net/transport.cpp" // blocking receive timeouts
   };
   // R1/R3 only fire on deterministic-output paths.
