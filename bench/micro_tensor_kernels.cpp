@@ -1,7 +1,10 @@
 // Kernel-layer micro-bench: sweeps the hot tensor kernels (dot, axpy,
 // squared_norm, matmul) across sizes {1k, 64k, 1M} x ISA {scalar, avx2},
 // reporting GB/s (bytes_per_second) per leg and, for the vector kernels,
-// a measured speedup_vs_scalar counter on the AVX2 legs.
+// a measured speedup_vs_scalar counter on the AVX2 legs. The LeNet conv
+// legs (BM_Conv2dLeNet{Forward,Backward}, batch 32, both conv shapes) time
+// tensor::conv2d_* under the dispatched ISA, which names the leg; run with
+// FIFL_KERNEL_ISA=scalar for the scalar legs.
 //
 // Every leg re-asserts the determinism contract before timing anything:
 // the scalar table and the leg's table must produce BIT-identical results
@@ -21,7 +24,9 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "tensor/conv.hpp"
 #include "tensor/kernels/kernels.hpp"
+#include "util/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace kernels = fifl::tensor::kernels;
@@ -163,6 +168,74 @@ void BM_Matmul(benchmark::State& state, kernels::Isa isa, std::size_t side) {
   common_counters(state, kt);
 }
 
+// LeNet's two convolutions (k=5, p=2) at batch 32, NCHW.
+struct LeNetConv {
+  const char* name;
+  fifl::tensor::ConvSpec spec;
+  std::size_t side;
+};
+const LeNetConv kLeNetConvs[] = {
+    {"conv1",
+     {.in_channels = 1, .out_channels = 6, .kernel = 5, .stride = 1, .padding = 2},
+     28},
+    {"conv2",
+     {.in_channels = 6, .out_channels = 16, .kernel = 5, .stride = 1, .padding = 2},
+     14},
+};
+
+std::vector<float> bits_of(const fifl::tensor::Tensor& t) {
+  return {t.flat().begin(), t.flat().end()};
+}
+
+std::vector<float> bits_of(const fifl::tensor::Conv2dGrads& g) {
+  std::vector<float> all = bits_of(g.grad_input);
+  for (const fifl::tensor::Tensor* t : {&g.grad_weight, &g.grad_bias}) {
+    all.insert(all.end(), t->flat().begin(), t->flat().end());
+  }
+  return all;
+}
+
+// Times one conv pass. Before timing, the pass must give the same bits on
+// the calling thread (images spread over the pool) and inside a pool task
+// (serial), since the conv code promises thread-count-independent results.
+template <typename Pass>
+void run_conv_leg(benchmark::State& state, const LeNetConv& c, const Pass& pass) {
+  namespace tensor = fifl::tensor;
+  fifl::util::Rng rng(0xBE7C0010 + c.side);
+  const tensor::ConvSpec& s = c.spec;
+  const tensor::Tensor x = tensor::Tensor::gaussian({32, s.in_channels, c.side, c.side}, rng);
+  const tensor::Tensor w =
+      tensor::Tensor::gaussian({s.out_channels, s.in_channels, s.kernel, s.kernel}, rng);
+  const tensor::Tensor b = tensor::Tensor::gaussian({s.out_channels}, rng);
+  const tensor::Tensor g = tensor::Tensor::gaussian({32, s.out_channels, c.side, c.side}, rng);
+  const std::vector<float> on_main = bits_of(pass(x, w, b, g));
+  const std::vector<float> in_pool =
+      fifl::util::ThreadPool::global().submit([&] { return bits_of(pass(x, w, b, g)); }).get();
+  if (!bits_equal_vec(on_main, in_pool)) {
+    state.SkipWithError("conv: pool-task and main-thread results not bit-identical");
+    return;
+  }
+  for (auto _ : state) {
+    auto result = pass(x, w, b, g);
+    benchmark::DoNotOptimize(result);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 32);  // images
+  common_counters(state, kernels::active());
+}
+
+void BM_Conv2dLeNetForward(benchmark::State& state, const LeNetConv& c) {
+  run_conv_leg(state, c, [&](const auto& x, const auto& w, const auto& b, const auto&) {
+    return fifl::tensor::conv2d_forward(x, w, b, c.spec);
+  });
+}
+
+void BM_Conv2dLeNetBackward(benchmark::State& state, const LeNetConv& c) {
+  run_conv_leg(state, c, [&](const auto& x, const auto& w, const auto&, const auto& g) {
+    return fifl::tensor::conv2d_backward(x, w, g, c.spec);
+  });
+}
+
 // Registered at static-init time (before micro_main's Initialize) so the
 // AVX2 column exists exactly when it can actually run.
 struct KernelBenchRegistrar {
@@ -195,6 +268,19 @@ struct KernelBenchRegistrar {
             BM_Matmul, isa, side)
             ->Unit(benchmark::kMicrosecond);
       }
+    }
+    const std::string active = kernels::isa_name(kernels::active_isa());
+    for (const LeNetConv& c : kLeNetConvs) {
+      const std::string leg = "/" + active + "/" + c.name;
+      // Wall time: the calling thread mostly waits on the pool.
+      benchmark::RegisterBenchmark(("BM_Conv2dLeNetForward" + leg).c_str(),
+                                   BM_Conv2dLeNetForward, c)
+          ->Unit(benchmark::kMicrosecond)
+          ->UseRealTime();
+      benchmark::RegisterBenchmark(("BM_Conv2dLeNetBackward" + leg).c_str(),
+                                   BM_Conv2dLeNetBackward, c)
+          ->Unit(benchmark::kMicrosecond)
+          ->UseRealTime();
     }
   }
 };

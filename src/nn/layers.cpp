@@ -1,7 +1,10 @@
 #include "nn/layers.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "tensor/ops.hpp"
 
@@ -198,22 +201,38 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_output) {
   return std::move(grads.grad_input);
 }
 
-tensor::Tensor ReLU::forward(const tensor::Tensor& input) {
-  cached_input_ = input.clone();
-  tensor::Tensor out = input.clone();
-  for (auto& v : out.flat()) {
-    if (v < 0.0f) v = 0.0f;
+namespace {
+// Elementwise backward guard: the cached forward must match the gradient.
+void check_matching_forward(const tensor::Tensor& cached,
+                            const tensor::Tensor& grad_output, const char* what) {
+  if (grad_output.shape() != cached.shape()) {
+    throw std::logic_error(std::string(what) + ": backward without matching forward");
   }
+}
+
+// `keep ? v : +0.0f` without a branch: activation signs are random, so a
+// branch would mispredict on about half the elements.
+float keep_if(bool keep, float v) {
+  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(v) &
+                              (0u - static_cast<std::uint32_t>(keep)));
+}
+}  // namespace
+
+tensor::Tensor ReLU::forward(const tensor::Tensor& input) {
+  tensor::Tensor out = input.clone();
+  for (auto& v : out.flat()) v = keep_if(!(v < 0.0f), v);
+  cached_output_ = out;  // copy-assign: reuses the cache's buffer once warm
   return out;
 }
 
 tensor::Tensor ReLU::backward(const tensor::Tensor& grad_output) {
+  check_matching_forward(cached_output_, grad_output, "ReLU");
   tensor::Tensor grad = grad_output.clone();
-  const float* in = cached_input_.data();
+  // The output is <= 0 exactly where the input was (forward passes NaN and
+  // -0 through unchanged), so this masks as an input-sign test would.
+  const float* y = cached_output_.data();
   float* g = grad.data();
-  for (std::size_t i = 0; i < grad.numel(); ++i) {
-    if (in[i] <= 0.0f) g[i] = 0.0f;
-  }
+  for (std::size_t i = 0; i < grad.numel(); ++i) g[i] = keep_if(!(y[i] <= 0.0f), g[i]);
   return grad;
 }
 
@@ -225,6 +244,7 @@ tensor::Tensor Tanh::forward(const tensor::Tensor& input) {
 }
 
 tensor::Tensor Tanh::backward(const tensor::Tensor& grad_output) {
+  check_matching_forward(cached_output_, grad_output, "Tanh");
   tensor::Tensor grad = grad_output.clone();
   const float* y = cached_output_.data();
   float* g = grad.data();
@@ -244,6 +264,7 @@ tensor::Tensor Sigmoid::forward(const tensor::Tensor& input) {
 }
 
 tensor::Tensor Sigmoid::backward(const tensor::Tensor& grad_output) {
+  check_matching_forward(cached_output_, grad_output, "Sigmoid");
   tensor::Tensor grad = grad_output.clone();
   const float* y = cached_output_.data();
   float* g = grad.data();

@@ -55,7 +55,7 @@ class ReLU final : public Layer {
   std::string name() const override { return "ReLU"; }
 
  private:
-  tensor::Tensor cached_input_;
+  tensor::Tensor cached_output_;
 };
 
 class Tanh final : public Layer {

@@ -1,7 +1,10 @@
-// 2-D convolution and pooling primitives (NCHW layout) via im2col, the
-// classic trick that turns convolution into one big matmul so the parallel
-// GEMM in ops.cpp carries the load. Forward and backward passes are
-// provided; nn::Conv2d and nn::MaxPool2d are thin wrappers over these.
+// 2-D convolution and pooling primitives (NCHW layout). Convolution runs
+// one image at a time: unfold the image into a per-thread scratch buffer of
+// columns (im2col), then one KernelTable row-kernel call per image. Forward
+// and dX parallelise over images only; dW and db accumulate images in
+// ascending order, so results are bit-identical to one whole-batch GEMM and
+// independent of the thread count (DESIGN.md "Kernel layer"). nn::Conv2d and
+// nn::MaxPool2d are thin wrappers over these.
 #pragma once
 
 #include <cstddef>
@@ -23,13 +26,8 @@ struct ConvSpec {
   }
 };
 
-/// Unfold input (N,C,H,W) into columns (N*OH*OW, C*K*K).
-Tensor im2col(const Tensor& input, const ConvSpec& spec);
-/// Fold columns (N*OH*OW, C*K*K) back into (N,C,H,W), accumulating overlaps.
-Tensor col2im(const Tensor& cols, const ConvSpec& spec, std::size_t n,
-              std::size_t h, std::size_t w);
-
 /// output(N,OC,OH,OW) = conv(input(N,C,H,W), weight(OC,C,K,K)) + bias(OC).
+/// Throws std::invalid_argument on any operand shape mismatch.
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, const ConvSpec& spec);
 
@@ -39,6 +37,7 @@ struct Conv2dGrads {
   Tensor grad_bias;    // (OC)
 };
 
+/// Throws std::invalid_argument unless grad_output is (N,OC,OH,OW).
 Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
                             const Tensor& grad_output, const ConvSpec& spec);
 

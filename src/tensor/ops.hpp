@@ -1,8 +1,9 @@
 // Elementwise / BLAS-lite operations on Tensor.
 //
-// Everything that dominates the training profile (matmul, im2col in
-// conv.hpp) is parallelised with util::parallel_for; small vector ops stay
-// serial because dispatch overhead would dwarf the work.
+// The matmuls are parallelised over output rows with util::parallel_for;
+// small vector ops stay serial because dispatch overhead would dwarf the
+// work. Convolution (conv.hpp) calls the kernel rows directly, one image
+// at a time, rather than these whole-matrix wrappers.
 #pragma once
 
 #include <span>

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "tensor/ops.hpp"
 
 namespace fifl::nn {
@@ -78,6 +81,49 @@ TEST(ReLU, BackwardMasksByInputSign) {
   EXPECT_FLOAT_EQ(gx[0], 0.0f);
   EXPECT_FLOAT_EQ(gx[1], 10.0f);
   EXPECT_FLOAT_EQ(gx[2], 10.0f);
+}
+
+TEST(ReLU, BackwardMasksNegativeZeroAndPassesNaN) {
+  // backward masks by the cached output's sign; that must match the input's
+  // sign test at the edges: -0 passes forward as -0 and is masked, NaN
+  // passes forward as NaN and lets the gradient through.
+  ReLU relu;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  tensor::Tensor x({4}, std::vector<float>{-0.0f, nan, -2.0f, 1.0f});
+  tensor::Tensor y = relu.forward(x);
+  EXPECT_TRUE(std::signbit(y[0]));
+  EXPECT_TRUE(std::isnan(y[1]));
+  EXPECT_FALSE(std::signbit(y[2]));
+  tensor::Tensor gx = relu.backward(tensor::Tensor({4}, std::vector<float>{5, 6, 7, 8}));
+  EXPECT_EQ(gx[0], 0.0f);
+  EXPECT_FALSE(std::signbit(gx[0]));
+  EXPECT_EQ(gx[1], 6.0f);
+  EXPECT_EQ(gx[2], 0.0f);
+  EXPECT_EQ(gx[3], 8.0f);
+}
+
+// Elementwise layers read the cached forward at every gradient index, so a
+// gradient of another shape must be refused, not read out of bounds.
+template <typename L>
+void expect_backward_needs_matching_forward() {
+  L layer;
+  EXPECT_THROW((void)layer.backward(tensor::Tensor::ones({4})), std::logic_error);
+  (void)layer.forward(tensor::Tensor::ones({2}));
+  EXPECT_THROW((void)layer.backward(tensor::Tensor::ones({4096})), std::logic_error);
+  EXPECT_THROW((void)layer.backward(tensor::Tensor::ones({2, 1})), std::logic_error);
+  EXPECT_NO_THROW((void)layer.backward(tensor::Tensor::ones({2})));
+}
+
+TEST(ReLU, BackwardWithoutMatchingForwardThrows) {
+  expect_backward_needs_matching_forward<ReLU>();
+}
+
+TEST(Tanh, BackwardWithoutMatchingForwardThrows) {
+  expect_backward_needs_matching_forward<Tanh>();
+}
+
+TEST(Sigmoid, BackwardWithoutMatchingForwardThrows) {
+  expect_backward_needs_matching_forward<Sigmoid>();
 }
 
 TEST(Tanh, ForwardValuesAndRange) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fifl::tensor {
 namespace {
@@ -44,6 +47,188 @@ Tensor conv_reference(const Tensor& input, const Tensor& weight,
     }
   }
   return out;
+}
+
+// ---- The whole-batch oracle ------------------------------------------------
+// conv2d_forward/backward work one image at a time. This is the
+// whole-batch formulation they replaced: unfold every image into one
+// (N*OH*OW, C*K*K) column matrix and run a single GEMM over it. The
+// per-image code promises the same per-element operation order, so the two
+// must agree bit for bit.
+
+/// Unfold input (N,C,H,W) into columns (N*OH*OW, C*K*K).
+Tensor im2col(const Tensor& input, const ConvSpec& spec) {
+  const std::size_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
+                    w = input.dim(3);
+  const std::size_t oh = spec.out_dim(h), ow = spec.out_dim(w);
+  Tensor cols({n * oh * ow, c * spec.kernel * spec.kernel});
+  float* out = cols.data();
+  for (std::size_t img = 0; img < n; ++img) {
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        for (std::size_t ch = 0; ch < c; ++ch) {
+          for (std::size_t ky = 0; ky < spec.kernel; ++ky) {
+            for (std::size_t kx = 0; kx < spec.kernel; ++kx) {
+              const auto iy = static_cast<std::ptrdiff_t>(oy * spec.stride + ky) -
+                              static_cast<std::ptrdiff_t>(spec.padding);
+              const auto ix = static_cast<std::ptrdiff_t>(ox * spec.stride + kx) -
+                              static_cast<std::ptrdiff_t>(spec.padding);
+              const bool inside = iy >= 0 && ix >= 0 &&
+                                  iy < static_cast<std::ptrdiff_t>(h) &&
+                                  ix < static_cast<std::ptrdiff_t>(w);
+              *out++ = inside ? input(img, ch, static_cast<std::size_t>(iy),
+                                      static_cast<std::size_t>(ix))
+                              : 0.0f;
+            }
+          }
+        }
+      }
+    }
+  }
+  return cols;
+}
+
+/// Fold columns (N*OH*OW, C*K*K) back into (N,C,H,W), accumulating overlaps.
+Tensor col2im(const Tensor& cols, const ConvSpec& spec, std::size_t n,
+              std::size_t h, std::size_t w) {
+  const std::size_t c = spec.in_channels;
+  const std::size_t oh = spec.out_dim(h), ow = spec.out_dim(w);
+  Tensor out({n, c, h, w});
+  const float* src = cols.data();
+  for (std::size_t img = 0; img < n; ++img) {
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        for (std::size_t ch = 0; ch < c; ++ch) {
+          for (std::size_t ky = 0; ky < spec.kernel; ++ky) {
+            for (std::size_t kx = 0; kx < spec.kernel; ++kx, ++src) {
+              const auto iy = static_cast<std::ptrdiff_t>(oy * spec.stride + ky) -
+                              static_cast<std::ptrdiff_t>(spec.padding);
+              const auto ix = static_cast<std::ptrdiff_t>(ox * spec.stride + kx) -
+                              static_cast<std::ptrdiff_t>(spec.padding);
+              if (iy < 0 || ix < 0 || iy >= static_cast<std::ptrdiff_t>(h) ||
+                  ix >= static_cast<std::ptrdiff_t>(w)) {
+                continue;
+              }
+              out(img, ch, static_cast<std::size_t>(iy),
+                  static_cast<std::size_t>(ix)) += *src;
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+Tensor oracle_forward(const Tensor& x, const Tensor& weight, const Tensor& bias,
+                      const ConvSpec& spec) {
+  const std::size_t n = x.dim(0), oc = spec.out_channels;
+  const std::size_t oh = spec.out_dim(x.dim(2)), ow = spec.out_dim(x.dim(3));
+  Tensor wmat = weight.clone().reshape({oc, weight.numel() / oc});
+  Tensor prod = matmul_nt(im2col(x, spec), wmat);  // (N*OH*OW, OC)
+  Tensor out({n, oc, oh, ow});
+  for (std::size_t img = 0; img < n; ++img) {
+    for (std::size_t ch = 0; ch < oc; ++ch) {
+      for (std::size_t p = 0; p < oh * ow; ++p) {
+        out[(img * oc + ch) * oh * ow + p] = prod((img * oh * ow + p), ch) + bias[ch];
+      }
+    }
+  }
+  return out;
+}
+
+Conv2dGrads oracle_backward(const Tensor& x, const Tensor& weight,
+                            const Tensor& grad_output, const ConvSpec& spec) {
+  const std::size_t n = x.dim(0), oc = spec.out_channels;
+  const std::size_t pixels = grad_output.dim(2) * grad_output.dim(3);
+  Tensor gmat({n * pixels, oc});  // grad_output (N,OC,OH,OW) -> (N*OH*OW, OC)
+  for (std::size_t img = 0; img < n; ++img) {
+    for (std::size_t ch = 0; ch < oc; ++ch) {
+      for (std::size_t p = 0; p < pixels; ++p) {
+        gmat(img * pixels + p, ch) = grad_output[(img * oc + ch) * pixels + p];
+      }
+    }
+  }
+  Conv2dGrads grads;
+  grads.grad_weight = matmul_tn(gmat, im2col(x, spec)).reshape(weight.shape());
+  grads.grad_bias = Tensor({oc});
+  for (std::size_t row = 0; row < n * pixels; ++row) {
+    for (std::size_t ch = 0; ch < oc; ++ch) grads.grad_bias[ch] += gmat(row, ch);
+  }
+  Tensor wmat = weight.clone().reshape({oc, weight.numel() / oc});
+  grads.grad_input = col2im(matmul(gmat, wmat), spec, n, x.dim(2), x.dim(3));
+  return grads;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+struct OracleCase {
+  const char* name;
+  ConvSpec spec;
+  std::size_t batch, height, width;
+  double zero_share;  // fraction of grad_output entries forced to 0
+};
+
+// LeNet's two convolutions at batch 32, a strided unpadded shape, and
+// gradients as sparse as ReLU/max-pool backward leaves them.
+constexpr ConvSpec kLeNetConv1{
+    .in_channels = 1, .out_channels = 6, .kernel = 5, .stride = 1, .padding = 2};
+constexpr ConvSpec kLeNetConv2{
+    .in_channels = 6, .out_channels = 16, .kernel = 5, .stride = 1, .padding = 2};
+constexpr ConvSpec kStride2{
+    .in_channels = 3, .out_channels = 4, .kernel = 3, .stride = 2, .padding = 0};
+const OracleCase kOracleCases[] = {
+    {"lenet_conv1", kLeNetConv1, 32, 28, 28, 0.0},
+    {"lenet_conv2", kLeNetConv2, 32, 14, 14, 0.0},
+    {"stride2_nopad", kStride2, 5, 11, 9, 0.0},
+    {"lenet_conv1_sparse", kLeNetConv1, 32, 28, 28, 0.8},
+    {"lenet_conv2_sparse", kLeNetConv2, 32, 14, 14, 0.75},
+};
+
+struct ConvResult {
+  Tensor out;
+  Conv2dGrads grads;
+};
+
+TEST(ConvOracle, PerImageMatchesWholeBatchBitForBit) {
+  std::uint64_t seed = 40;
+  for (const OracleCase& c : kOracleCases) {
+    SCOPED_TRACE(c.name);
+    util::Rng rng(++seed);
+    const ConvSpec& s = c.spec;
+    Tensor x = Tensor::gaussian({c.batch, s.in_channels, c.height, c.width}, rng);
+    Tensor w = Tensor::gaussian({s.out_channels, s.in_channels, s.kernel, s.kernel}, rng,
+                                0.0f, 0.2f);
+    Tensor b = Tensor::gaussian({s.out_channels}, rng);
+    Tensor g = Tensor::gaussian(
+        {c.batch, s.out_channels, s.out_dim(c.height), s.out_dim(c.width)}, rng);
+    std::size_t zeros = 0;
+    for (float& v : g.flat()) {
+      if (rng.uniform() < c.zero_share) v = 0.0f;
+      zeros += v == 0.0f ? 1 : 0;
+    }
+    EXPECT_GE(static_cast<double>(zeros),
+              c.zero_share * 0.95 * static_cast<double>(g.numel()));
+
+    const Tensor want_out = oracle_forward(x, w, b, s);
+    const Conv2dGrads want = oracle_backward(x, w, g, s);
+    auto run = [&] {
+      return ConvResult{conv2d_forward(x, w, b, s), conv2d_backward(x, w, g, s)};
+    };
+    // Main thread: images spread over the pool. Pool task: nested
+    // parallel_for runs serially. Thread count must not change a bit.
+    const ConvResult on_main = run();
+    const ConvResult in_pool = util::ThreadPool::global().submit(run).get();
+    for (const ConvResult* got : {&on_main, &in_pool}) {
+      EXPECT_TRUE(same_bits(got->out, want_out));
+      EXPECT_TRUE(same_bits(got->grads.grad_weight, want.grad_weight));
+      EXPECT_TRUE(same_bits(got->grads.grad_bias, want.grad_bias));
+      EXPECT_TRUE(same_bits(got->grads.grad_input, want.grad_input));
+    }
+  }
 }
 
 TEST(Conv, OutDimFormula) {
@@ -146,6 +331,30 @@ TEST(Conv, BackwardNumericalGradcheck) {
     EXPECT_NEAR(grads.grad_bias[i], numeric, 5e-2)
         << "grad_bias mismatch at " << i;
   }
+}
+
+TEST(Conv, ForwardRejectsMismatchedOperands) {
+  ConvSpec s{.in_channels = 2, .out_channels = 3, .kernel = 3, .stride = 1, .padding = 1};
+  const Tensor x({1, 2, 4, 4}), w({3, 2, 3, 3}), b({3});
+  EXPECT_NO_THROW((void)conv2d_forward(x, w, b, s));
+  EXPECT_THROW((void)conv2d_forward(Tensor({1, 3, 4, 4}), w, b, s), std::invalid_argument);
+  EXPECT_THROW((void)conv2d_forward(x, Tensor({3, 2, 3, 2}), b, s), std::invalid_argument);
+  EXPECT_THROW((void)conv2d_forward(x, Tensor({2, 2, 3, 3}), b, s), std::invalid_argument);
+  EXPECT_THROW((void)conv2d_forward(x, Tensor({3, 18}), b, s), std::invalid_argument);
+  EXPECT_THROW((void)conv2d_forward(x, w, Tensor({2}), s), std::invalid_argument);
+  EXPECT_THROW((void)conv2d_forward(x, w, Tensor({3, 1}), s), std::invalid_argument);
+}
+
+TEST(Conv, BackwardRejectsMismatchedGradOrWeight) {
+  ConvSpec s{.in_channels = 2, .out_channels = 2, .kernel = 3, .stride = 1, .padding = 1};
+  const Tensor x({1, 2, 4, 4}), w({2, 2, 3, 3});
+  EXPECT_NO_THROW((void)conv2d_backward(x, w, Tensor({1, 2, 4, 4}), s));
+  // A gradient too small for the (1,2,4,4) output would be read out of bounds.
+  EXPECT_THROW((void)conv2d_backward(x, w, Tensor({1, 1, 2, 2}), s), std::invalid_argument);
+  EXPECT_THROW((void)conv2d_backward(x, w, Tensor({2, 2, 4, 4}), s), std::invalid_argument);
+  EXPECT_THROW((void)conv2d_backward(x, w, Tensor({1, 2, 16}), s), std::invalid_argument);
+  EXPECT_THROW((void)conv2d_backward(x, Tensor({2, 1, 3, 3}), Tensor({1, 2, 4, 4}), s),
+               std::invalid_argument);
 }
 
 TEST(Pool, MaxPoolPicksWindowMaxima) {

@@ -104,7 +104,7 @@ struct Config {
   // R1/R3 only fire on deterministic-output paths.
   std::vector<std::string> det_paths = {"src/"};
   std::vector<std::string> fp_paths = {"src/core/", "src/net/", "src/chain/",
-                                       "src/tensor/kernels/"};
+                                       "src/tensor/"};
   // R4 cross-file triple (relative to root); the rule runs iff the enum
   // header exists.
   std::string msg_enum = "src/net/messages.hpp";
