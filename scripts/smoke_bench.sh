@@ -9,11 +9,11 @@
 # example binary exists (examples-bin-dir, 2nd arg), a short loopback
 # cluster run must complete and its trace must carry the "net" block.
 #
-# The wire-bandwidth legs (ext_net_cluster, micro_codec) write their
-# BENCH_*.json into a *persistent* outdir — FIFL_BENCH_OUTDIR if set,
-# else <bench-bin-dir>/bench_out — so bytes/round and codec-throughput
-# baselines accumulate in the build tree instead of vanishing with the
-# scratch dir.
+# The wire-bandwidth legs (ext_net_cluster, micro_codec,
+# micro_net_roundtrip) write their BENCH_*.json into a *persistent*
+# outdir — FIFL_BENCH_OUTDIR if set, else <bench-bin-dir>/bench_out — so
+# bytes/round, codec and wire-codec throughput baselines accumulate in
+# the build tree instead of vanishing with the scratch dir.
 #
 # Usage: smoke_bench.sh [bench-bin-dir] [examples-bin-dir]
 #   bench-bin-dir defaults to ./build/bench; examples-bin-dir to its
@@ -28,7 +28,7 @@ BENCH_OUTDIR="${FIFL_BENCH_OUTDIR:-$BIN_DIR/bench_out}"
 
 for bin in fig11_reputation micro_metrics_overhead ext_net_cluster \
            micro_codec micro_chain_throughput micro_tensor_kernels \
-           micro_detection_cost micro_incentive_cost; do
+           micro_detection_cost micro_incentive_cost micro_net_roundtrip; do
   if [ ! -x "$BIN_DIR/$bin" ]; then
     echo "smoke_bench: missing binary $BIN_DIR/$bin" >&2
     exit 1
@@ -86,6 +86,14 @@ FIFL_BENCH_OUTDIR="$BENCH_OUTDIR" \
   "$BIN_DIR/micro_chain_throughput" --benchmark_min_time=0.01 \
   > "$OUTDIR/micro_chain.log"
 
+echo "== micro_net_roundtrip (outdir $BENCH_OUTDIR) =="
+# Wire hot path: CRC32, frame encode/decode and the loopback round trip.
+# The TCP legs are left out (sockets, not CPU, set their time).
+FIFL_BENCH_OUTDIR="$BENCH_OUTDIR" \
+  "$BIN_DIR/micro_net_roundtrip" --benchmark_min_time=0.01 \
+  --benchmark_filter='BM_(Crc32|FrameEncode|FrameDecode|LoopbackRoundTrip)' \
+  > "$OUTDIR/micro_net_roundtrip.log"
+
 fail() {
   echo "smoke_bench: $1" >&2
   exit 1
@@ -98,7 +106,7 @@ done
 for json in BENCH_ext_net_cluster.json BENCH_ext_net_compression.json \
             BENCH_micro_codec.json BENCH_micro_chain_throughput.json \
             BENCH_micro_tensor_kernels.json BENCH_micro_detection_cost.json \
-            BENCH_micro_incentive_cost.json; do
+            BENCH_micro_incentive_cost.json BENCH_micro_net_roundtrip.json; do
   [ -s "$BENCH_OUTDIR/$json" ] || fail "$json missing or empty"
 done
 [ -s "$BENCH_OUTDIR/ext_net_compression.csv" ] || \
@@ -162,6 +170,15 @@ for b in proof:
     assert full > 0 and cached > 0, f"{b['name']} missing proof byte counters"
     assert cached < full, \
         f"{b['name']}: cached proof ({cached}B) not smaller than full ({full}B)"
+
+wire = json.loads((benchdir / "BENCH_micro_net_roundtrip.json").read_text())
+for leg in ("BM_Crc32", "BM_FrameEncode", "BM_FrameDecode",
+            "BM_LoopbackRoundTrip"):
+    rows = [b for b in wire["benchmarks"] if b["name"].startswith(leg + "/")]
+    assert rows, f"micro_net_roundtrip json has no {leg} entries"
+    for b in rows:
+        assert b.get("bytes_per_second", 0) > 0, \
+            f"{b['name']} missing bytes_per_second"
 
 # Kernel-layer gates: every leg passed its in-bench scalar-vs-dispatched
 # bitwise check (no error_occurred), and on AVX2 hardware the detection /

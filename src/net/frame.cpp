@@ -8,17 +8,30 @@ namespace fifl::net {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-16 tables for the reflected IEEE polynomial 0xEDB88320:
+// kCrcTables[0] is the classic bytewise table, and kCrcTables[k][b] is the
+// CRC state after byte b is followed by k zero bytes, so one step folds
+// sixteen input bytes with sixteen independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 16>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
+
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 std::uint32_t load_u32le(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
@@ -35,10 +48,26 @@ std::uint64_t load_u64le(const std::uint8_t* p) {
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const auto& t = kCrcTables;
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::uint8_t byte : data) {
-    c = table[(c ^ byte) & 0xFFu] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 16; p += 16, n -= 16) {
+    const std::uint32_t w0 = load_u32le(p) ^ c;
+    const std::uint32_t w1 = load_u32le(p + 4);
+    const std::uint32_t w2 = load_u32le(p + 8);
+    const std::uint32_t w3 = load_u32le(p + 12);
+    c = t[15][w0 & 0xFFu] ^ t[14][(w0 >> 8) & 0xFFu] ^
+        t[13][(w0 >> 16) & 0xFFu] ^ t[12][w0 >> 24] ^
+        t[11][w1 & 0xFFu] ^ t[10][(w1 >> 8) & 0xFFu] ^
+        t[9][(w1 >> 16) & 0xFFu] ^ t[8][w1 >> 24] ^
+        t[7][w2 & 0xFFu] ^ t[6][(w2 >> 8) & 0xFFu] ^
+        t[5][(w2 >> 16) & 0xFFu] ^ t[4][w2 >> 24] ^
+        t[3][w3 & 0xFFu] ^ t[2][(w3 >> 8) & 0xFFu] ^
+        t[1][(w3 >> 16) & 0xFFu] ^ t[0][w3 >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

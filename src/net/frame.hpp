@@ -44,7 +44,7 @@ inline constexpr std::size_t kFrameHeaderSize = 20;
 inline constexpr std::uint16_t kFrameFlagTrace = 0x0001u;
 inline constexpr std::size_t kTraceExtSize = 24;
 /// Upper bound on a single payload; anything larger is a corrupt length
-/// field, not a real message (a LeNet gradient is ~250 KB).
+/// field, not a real message (a dense LeNet gradient upload is 277 KB).
 inline constexpr std::uint32_t kMaxPayload = 1u << 28;
 
 class FrameError : public util::SerializeError {
@@ -52,8 +52,9 @@ class FrameError : public util::SerializeError {
   using util::SerializeError::SerializeError;
 };
 
-/// CRC32 (IEEE 802.3 polynomial, reflected). `seed` chains partial
-/// computations: crc32(b, crc32(a)) == crc32(a ++ b).
+/// CRC32 (IEEE 802.3 polynomial, reflected), table-sliced sixteen bytes
+/// per step. `seed` chains partial computations:
+/// crc32(b, crc32(a)) == crc32(a ++ b).
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed = 0);
 
 struct Frame {

@@ -1,8 +1,8 @@
 #include "tensor/conv.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 
 #include "tensor/kernels/kernels.hpp"
@@ -189,20 +189,36 @@ Tensor maxpool2d_forward(const Tensor& input, std::size_t window,
         const float* plane = input.data() + base;
         for (std::size_t oy = 0; oy < oh; ++oy) {
           for (std::size_t ox = 0; ox < ow; ++ox) {
-            float best = -std::numeric_limits<float>::infinity();
-            std::size_t best_idx = 0;  // flat input index, as argmax stores it
+            // The window's own first element seeds the scan, so a window
+            // with nothing above -inf routes its gradient inside itself.
+            // `>` never picks a NaN, so a window holding one is scanned
+            // again and its first NaN wins: the NaN reaches the output
+            // while the hot scan stays a plain compare.
+            const std::size_t first = oy * window * w + ox * window;
+            float best = plane[first];
+            std::size_t best_at = first;
+            bool has_nan = false;
             for (std::size_t ky = 0; ky < window; ++ky) {
               for (std::size_t kx = 0; kx < window; ++kx) {
-                const std::size_t at = (oy * window + ky) * w + ox * window + kx;
+                const std::size_t at = first + ky * w + kx;
                 if (plane[at] > best) {
                   best = plane[at];
-                  best_idx = base + at;
+                  best_at = at;
                 }
+                has_nan |= std::isnan(plane[at]);
+              }
+            }
+            for (std::size_t k = 0; has_nan && k < window * window; ++k) {
+              const std::size_t at = first + (k / window) * w + k % window;
+              if (std::isnan(plane[at])) {
+                best = plane[at];
+                best_at = at;
+                break;
               }
             }
             const std::size_t o = (nc * oh + oy) * ow + ox;
             out[o] = best;
-            argmax_out[o] = best_idx;
+            argmax_out[o] = base + best_at;  // flat input index
           }
         }
       },
@@ -219,8 +235,8 @@ Tensor maxpool2d_backward(const Tensor& grad_output,
   }
   const float* g = grad_output.data();
   float* gi = grad_input.data();
-  // order: output index ascending. Windows are disjoint, so only index 0
-  // can take more than one term (from windows with nothing above -inf).
+  // order: output index ascending; windows are disjoint, so each input
+  // index takes at most one term.
   for (std::size_t i = 0; i < argmax.size(); ++i) gi[argmax[i]] += g[i];
   return grad_input;
 }

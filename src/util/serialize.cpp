@@ -1,5 +1,6 @@
 #include "util/serialize.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
@@ -18,6 +19,17 @@ T to_little_endian(T v) {
     return out;
   }
   return v;
+}
+
+// Bulk f32 arrays are copied in host order; on a big-endian host this
+// then turns each 4-byte group around in place (its own inverse, so it
+// serves both the writer and the reader).
+void f32_bytes_to_little_endian(std::uint8_t* bytes, std::size_t count) {
+  if constexpr (std::endian::native == std::endian::big) {
+    for (std::size_t i = 0; i < count; ++i, bytes += sizeof(float)) {
+      std::reverse(bytes, bytes + sizeof(float));
+    }
+  }
 }
 }  // namespace
 
@@ -54,7 +66,10 @@ void ByteWriter::write_string(const std::string& s) {
 
 void ByteWriter::write_f32_array(std::span<const float> xs) {
   write_u64(xs.size());
-  for (float x : xs) write_f32(x);
+  const std::size_t offset = buffer_.size();
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(xs.data());
+  buffer_.insert(buffer_.end(), bytes, bytes + xs.size_bytes());
+  f32_bytes_to_little_endian(buffer_.data() + offset, xs.size());
 }
 
 void ByteWriter::write_bytes(std::span<const std::uint8_t> bytes) {
@@ -145,7 +160,13 @@ std::vector<float> ByteReader::read_f32_array() {
                          std::to_string(remaining()) + " bytes remain");
   }
   std::vector<float> xs(static_cast<std::size_t>(n));
-  for (auto& x : xs) x = read_f32();
+  if (!xs.empty()) {
+    const std::size_t size = xs.size() * sizeof(float);
+    std::memcpy(xs.data(), data_.data() + cursor_, size);
+    cursor_ += size;
+    f32_bytes_to_little_endian(reinterpret_cast<std::uint8_t*>(xs.data()),
+                               xs.size());
+  }
   return xs;
 }
 

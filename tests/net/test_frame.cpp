@@ -4,11 +4,37 @@
 // silently accepted message.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+
 #include "net/frame.hpp"
+#include "net/messages.hpp"
 #include "util/rng.hpp"
 
 namespace fifl::net {
 namespace {
+
+/// The bytewise CRC-32 the wire started with: one table lookup per byte.
+/// net::crc32 folds eight bytes per step and must agree with it exactly.
+std::uint32_t crc32_bytewise(std::span<const std::uint8_t> data,
+                             std::uint32_t seed = 0) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::uint8_t byte : data) {
+    c = table[(c ^ byte) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
 
 std::vector<std::uint8_t> random_payload(util::Rng& rng, std::size_t size) {
   std::vector<std::uint8_t> payload(size);
@@ -27,11 +53,80 @@ TEST(Frame, Crc32KnownVector) {
 
 TEST(Frame, Crc32Chains) {
   util::Rng rng(7);
-  const auto bytes = random_payload(rng, 300);
+  const auto bytes = random_payload(rng, 200);
   const std::span<const std::uint8_t> all(bytes);
-  const std::uint32_t whole = crc32(all);
-  const std::uint32_t chained = crc32(all.subspan(100), crc32(all.first(100)));
-  EXPECT_EQ(whole, chained);
+  const std::uint32_t whole = crc32_bytewise(all);
+  ASSERT_EQ(crc32(all), whole);
+  for (std::size_t split = 0; split <= all.size(); ++split) {
+    EXPECT_EQ(crc32(all.subspan(split), crc32(all.first(split))), whole)
+        << "split at " << split;
+  }
+}
+
+TEST(Frame, Crc32MatchesBytewiseOracle) {
+  // Every tail length 0..64 and a full LeNet upload frame (277,498 bytes),
+  // each from start offsets 0..7 so the 8-byte steps meet every alignment.
+  constexpr std::size_t kUploadFrame = 277'498;
+  util::Rng rng(19);
+  const auto bytes = random_payload(rng, kUploadFrame + 8);
+  const std::span<const std::uint8_t> all(bytes);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const auto part = all.subspan(offset, len);
+      EXPECT_EQ(crc32(part), crc32_bytewise(part))
+          << "offset " << offset << " length " << len;
+      EXPECT_EQ(crc32(part, 0x12345678u), crc32_bytewise(part, 0x12345678u))
+          << "seeded, offset " << offset << " length " << len;
+    }
+    const auto frame = all.subspan(offset, kUploadFrame);
+    EXPECT_EQ(crc32(frame), crc32_bytewise(frame)) << "offset " << offset;
+  }
+}
+
+TEST(Frame, GoldenGradientUploadFrame) {
+  // A dense LeNet-sized upload (69,362 floats) must keep its exact wire
+  // bytes: the frame length, header and CRC field are pinned, and the
+  // payload floats are little-endian IEEE bits from offset 30.
+  GradientUploadMsg msg;
+  msg.round = 7;
+  msg.worker = 3;
+  msg.samples = 120;
+  msg.gradient.resize(69'362);
+  for (std::size_t i = 0; i < msg.gradient.size(); ++i) {
+    const std::uint32_t k =
+        (static_cast<std::uint32_t>(i) * 2654435761u) % 20001u;
+    msg.gradient[i] = (static_cast<float>(k) - 10000.0f) / 1024.0f;
+  }
+  msg.gradient[0] = -0.0f;
+  msg.gradient.back() = std::bit_cast<float>(0x7FC0BEEFu);  // NaN payload
+  const auto payload = encode_payload(msg);
+  const auto wire = encode_frame(
+      static_cast<std::uint8_t>(MessageType::kGradientUpload), 2, payload);
+
+  ASSERT_EQ(payload.size(), 277'478u);
+  ASSERT_EQ(wire.size(), 277'498u);
+  const std::vector<std::uint8_t> header(wire.begin(), wire.begin() + 16);
+  const std::vector<std::uint8_t> expected_header{
+      0x46, 0x4E, 0x45, 0x54,  // magic "FNET"
+      0x01, 0x06, 0x00, 0x00,  // version, type, flags
+      0x02, 0x00, 0x00, 0x00,  // from
+      0xE6, 0x3B, 0x04, 0x00,  // payload length 277,478
+  };
+  EXPECT_EQ(header, expected_header);
+  const std::uint32_t crc_field =
+      static_cast<std::uint32_t>(wire[16]) |
+      (static_cast<std::uint32_t>(wire[17]) << 8) |
+      (static_cast<std::uint32_t>(wire[18]) << 16) |
+      (static_cast<std::uint32_t>(wire[19]) << 24);
+  EXPECT_EQ(crc_field, 0xF02634D0u);
+  const std::span<const std::uint8_t> all(wire);
+  EXPECT_EQ(crc_field, crc32_bytewise(all.subspan(kFrameHeaderSize),
+                                      crc32_bytewise(all.subspan(4, 12))));
+  // Offset 30 of the payload: the first float (-0.0f), then the last one.
+  const std::vector<std::uint8_t> first(wire.begin() + 50, wire.begin() + 54);
+  EXPECT_EQ(first, (std::vector<std::uint8_t>{0x00, 0x00, 0x00, 0x80}));
+  const std::vector<std::uint8_t> last(wire.end() - 4, wire.end());
+  EXPECT_EQ(last, (std::vector<std::uint8_t>{0xEF, 0xBE, 0xC0, 0x7F}));
 }
 
 TEST(Frame, RoundTripWholeBuffer) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
@@ -379,6 +381,37 @@ TEST(Pool, MaxPoolBackwardRoutesToArgmax) {
   EXPECT_FLOAT_EQ(gx[1], 2.5f);  // index of the 9
   EXPECT_FLOAT_EQ(gx[2], 0.0f);
   EXPECT_FLOAT_EQ(gx[3], 0.0f);
+}
+
+TEST(Pool, MaxPoolPropagatesNanAndKeepsGradientInItsImage) {
+  // Two images, the second all NaN: the NaN must reach the output, and
+  // that window's gradient must land inside image 1, not at image 0's
+  // first pixel.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor x({2, 1, 2, 2}, std::vector<float>{1, 2, 3, 4, nan, nan, nan, nan});
+  std::vector<std::size_t> argmax;
+  Tensor y = maxpool2d_forward(x, 2, argmax);
+  EXPECT_FLOAT_EQ(y[0], 4.0f);
+  EXPECT_TRUE(std::isnan(y[1]));
+  Tensor gy({2, 1, 1, 1}, std::vector<float>{10.0f, 5.0f});
+  Tensor gx = maxpool2d_backward(gy, argmax, x.shape());
+  const std::vector<float> image0(gx.data(), gx.data() + 4);
+  EXPECT_EQ(image0, (std::vector<float>{0, 0, 0, 10}));
+  EXPECT_FLOAT_EQ(gx[4] + gx[5] + gx[6] + gx[7], 5.0f);
+}
+
+TEST(Pool, MaxPoolNanWinsAndNegInfStaysInWindow) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float ninf = -std::numeric_limits<float>::infinity();
+  // Window 0 holds one NaN among finite values; window 1 only -inf.
+  Tensor x({1, 1, 2, 4}, std::vector<float>{1, nan, ninf, ninf,  //
+                                            9, 4, ninf, ninf});
+  std::vector<std::size_t> argmax;
+  Tensor y = maxpool2d_forward(x, 2, argmax);
+  EXPECT_TRUE(std::isnan(y[0]));
+  EXPECT_EQ(argmax[0], 1u);
+  EXPECT_EQ(y[1], ninf);
+  EXPECT_EQ(argmax[1], 2u);  // the window's own first element
 }
 
 TEST(Pool, MaxPoolRejectsNonDividingWindow) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -54,6 +55,62 @@ TEST(Serialize, SpecialFloatsPreserveBits) {
   EXPECT_EQ(std::signbit(neg_zero), true);
 }
 
+// Bit patterns the bulk f32 path must carry untouched: NaNs with
+// payloads, both zeros, the denormal extremes, both infinities, 1.0 and
+// the smallest normal.
+const std::vector<std::uint32_t> kSpecialBits{
+    0x7FC0BEEFu, 0xFFC00001u, 0x00000000u, 0x80000000u, 0x00000001u,
+    0x807FFFFFu, 0x7F800000u, 0xFF800000u, 0x3F800000u, 0x00800000u,
+};
+
+std::vector<float> special_floats() {
+  std::vector<float> xs;
+  for (std::uint32_t bits : kSpecialBits) xs.push_back(std::bit_cast<float>(bits));
+  return xs;
+}
+
+TEST(Serialize, BulkFloatArrayMatchesPerElementWrites) {
+  const std::vector<float> special = special_floats();
+  for (const std::span<const float> xs :
+       {std::span<const float>(special), std::span<const float>()}) {
+    ByteWriter bulk;
+    bulk.write_f32_array(xs);
+    ByteWriter per_element;
+    per_element.write_u64(xs.size());
+    for (float x : xs) per_element.write_f32(x);
+    EXPECT_EQ(bulk.buffer(), per_element.buffer()) << xs.size() << " floats";
+  }
+  // Little-endian on the wire, whatever the host order.
+  ByteWriter w;
+  w.write_f32_array(special);
+  EXPECT_EQ(w.buffer()[8], 0xEF);
+  EXPECT_EQ(w.buffer()[11], 0x7F);
+}
+
+TEST(Serialize, BulkFloatArrayReadsBitsFromUnalignedCursor) {
+  // Offsets 0..8 cover every alignment; 22 is where a GradientUploadMsg
+  // puts its count, so its floats start at payload offset 30.
+  const std::vector<float> special = special_floats();
+  for (std::size_t prefix : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 22u}) {
+    ByteWriter w;
+    for (std::size_t i = 0; i < prefix; ++i) w.write_u8(0xA5);
+    w.write_f32_array(special);
+    w.write_f32_array({});
+    w.write_u8(0x5A);
+    ByteReader r(w.buffer());
+    for (std::size_t i = 0; i < prefix; ++i) (void)r.read_u8();
+    const std::vector<float> back = r.read_f32_array();
+    ASSERT_EQ(back.size(), kSpecialBits.size());
+    for (std::size_t i = 0; i < back.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(back[i]), kSpecialBits[i])
+          << "prefix " << prefix << " element " << i;
+    }
+    EXPECT_TRUE(r.read_f32_array().empty());
+    EXPECT_EQ(r.read_u8(), 0x5A);
+    EXPECT_TRUE(r.exhausted());
+  }
+}
+
 TEST(Serialize, TruncatedReadThrows) {
   ByteWriter w;
   w.write_u32(7);
@@ -63,9 +120,25 @@ TEST(Serialize, TruncatedReadThrows) {
 }
 
 TEST(Serialize, TruncatedArrayThrows) {
+  // 1000 floats with none present; counts whose byte size wraps
+  // (2^62 * 4 == 0 mod 2^64) or saturates; three floats in room for two.
+  for (std::uint64_t count : {std::uint64_t{1000}, std::uint64_t{1} << 62,
+                              ~std::uint64_t{0}, std::uint64_t{3}}) {
+    ByteWriter w;
+    w.write_u64(count);
+    if (count == 3) {
+      w.write_f32(1.0f);
+      w.write_f32(2.0f);
+    }
+    ByteReader r(w.buffer());
+    EXPECT_THROW((void)r.read_f32_array(), SerializeError) << count;
+  }
+  // One byte short of the last float.
   ByteWriter w;
-  w.write_u64(1000);  // claims 1000 floats, provides none
-  ByteReader r(w.buffer());
+  w.write_f32_array(std::vector<float>{1.0f, 2.0f});
+  std::vector<std::uint8_t> cut = w.take();
+  cut.pop_back();
+  ByteReader r(cut);
   EXPECT_THROW((void)r.read_f32_array(), SerializeError);
 }
 
